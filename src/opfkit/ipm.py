@@ -8,13 +8,17 @@ symmetric indefinite form
     [ W + Dx + Ji' Ds Ji   Je' ] [dx ]   [rhs_x]
     [ Je                  -dI  ] [dy ] = [rhs_y]
 
-factored behind a small interface with two interchangeable backends:
-Bunch-Kaufman LDL' (exact inertia from the pivot blocks) and a
-Cholesky Schur-complement path for large systems (successful
-factorization of both blocks certifies the same inertia (n, m_eq, 0)).
-Wrong inertia or singularity triggers Levenberg regularization,
-reg <- max(reg0, 10 reg), at most 20 retries, warm-started from the
-last successful level.
+assembled sparse and factored by a sparse LDL': SuperLU in symmetric
+mode with diagonal pivots only.  The dual regularization d starts at
+1e-9, since SuperLU will not pivot on a zero diagonal.  When every
+pivot is diagonal, Sylvester's law of inertia reads the inertia of the
+matrix off the pivot signs, and the factor is accepted only at inertia
+(n, m_eq, 0).  Wrong inertia, an off-diagonal pivot or singularity
+triggers Levenberg regularization, reg <- max(reg0, 10 reg) and
+d <- 10 d, at most 20 retries, warm-started from the last successful
+level.  Once reg makes the (1,1) block positive definite the matrix is
+quasi-definite, and a quasi-definite matrix has an LDL' factorization
+in every ordering (Vanderbei 1995).
 
 Globalization is a backtracking line search on the l1 exact-penalty
 merit function of the barrier problem.  The penalty is kept above the
@@ -44,9 +48,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.linalg import lapack
+from scipy.sparse.linalg import splu
 
 from .errors import DimensionMismatch
 from .nlp import NlpProblem
@@ -61,6 +64,8 @@ _STALL_WINDOW = 30
 _STALL_FEAS = 1e-4
 _KAPPA_SIGMA = 1e10
 _SCALE_GRAD = 100.0
+# first dual regularization: SuperLU will not pivot on a zero diagonal
+_DELTA0 = 1e-9
 
 
 @dataclass
@@ -72,8 +77,6 @@ class SolverOptions:
     tau_min: float = 0.99
     reg0: float = 1e-8
     max_reg_retries: int = 20
-    linear_solver: str = "auto"   # auto | bunch_kaufman | schur
-    dense_switch: int = 3000      # auto: bunch_kaufman at or below this size
 
 
 @dataclass
@@ -168,117 +171,67 @@ class _View:
         return h[self.free][:, self.free]
 
 
-# --- KKT factorization backends -------------------------------------------
+# --- KKT factorization ------------------------------------------------------
 
 
-class _BunchKaufman:
-    """Dense LDL' with inertia read off the pivot blocks."""
-
-    def __init__(self, hfull: np.ndarray, je: sp.csr_matrix, reg: float,
-                 delta: float, n: int, me: int):
-        dim = n + me
-        k = np.zeros((dim, dim))
-        k[:n, :n] = hfull
-        if me:
-            k[n:, :n] = je.toarray()
-        idx = np.arange(n)
-        k[idx, idx] += reg
-        if me:
-            idx = np.arange(n, dim)
-            k[idx, idx] -= delta
-        ldu, ipiv, info = lapack.dsytrf(k, lower=1)
-        self.ldu, self.ipiv = ldu, ipiv
-        self.ok = info == 0 and self._inertia() == (n, me)
-
-    def _inertia(self) -> tuple[int, int]:
-        d = self.ldu
-        ipiv = self.ipiv
-        pos = neg = 0
-        k = 0
-        dim = d.shape[0]
-        while k < dim:
-            if ipiv[k] >= 0:
-                v = d[k, k]
-                if v > 0.0:
-                    pos += 1
-                elif v < 0.0:
-                    neg += 1
-                k += 1
-            else:
-                a, c, b = d[k, k], d[k + 1, k + 1], d[k + 1, k]
-                det = a * c - b * b
-                if det < 0.0:
-                    pos += 1
-                    neg += 1
-                elif a + c > 0.0:
-                    pos += 2
-                else:
-                    neg += 2
-                k += 2
-        return pos, neg
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        out, info = lapack.dsytrs(self.ldu, self.ipiv, rhs, lower=1)
-        if info != 0:
-            raise FloatingPointError("dsytrs failed")
-        return out
+def _kkt_lower(hess, dx_diag, ji, ds_diag, je) -> sp.coo_matrix:
+    """Summed lower triangle of K = [[H + Dx + Ji' Ds Ji, Je'], [Je, 0]]
+    as COO, with every diagonal entry stored."""
+    n, me = hess.shape[0], je.shape[0]
+    dim = n + me
+    blocks = [hess.tocoo()]
+    if ji.shape[0]:
+        blocks.append((ji.T @ ji.multiply(ds_diag[:, None])).tocoo())
+    je = je.tocoo()
+    diag = np.arange(dim)
+    r = np.concatenate([b.row for b in blocks] + [je.row + n, diag])
+    c = np.concatenate([b.col for b in blocks] + [je.col, diag])
+    v = np.concatenate([b.data for b in blocks]
+                       + [je.data, dx_diag, np.zeros(me)])
+    low = r >= c
+    k = sp.coo_matrix((v[low], (r[low], c[low])), shape=(dim, dim))
+    k.sum_duplicates()
+    return k
 
 
-class _SchurCholesky:
-    """Positive-definite forcing via two Cholesky factorizations.
+class _SparseLdl:
+    """Sparse LDL' of the regularized KKT matrix with certified inertia.
 
-    chol(W + reg I) and chol(Je (W + reg I)^-1 Je' + delta I) both
-    succeeding implies the saddle matrix has inertia (n, m_eq, 0).
-    Stricter than necessary: it demands W positive definite on the
-    whole space, not just on the equality null space, so problems
-    whose curvature is negative along pinned directions pay extra
-    regularization here.  Bunch-Kaufman reads the exact inertia and
-    is preferred up to the dense_switch dimension.
+    K gets reg on its first n diagonal entries and -delta on the last
+    m_eq, and is mirrored from its lower triangle so it is exactly
+    symmetric.  SuperLU in symmetric mode with a zero pivot threshold
+    pivots on the diagonal of the fill-reducing ordering; when it did
+    (perm_r == perm_c) the factorization is P K P' = L U with U = D L',
+    so by Sylvester's law the signs of diag(U) are the inertia of K.
+    ok holds when they count (n, m_eq).  A singular K or an off-diagonal
+    pivot is reported as not ok.
     """
 
-    def __init__(self, hfull: np.ndarray, je: sp.csr_matrix, reg: float,
-                 delta: float, n: int, me: int):
-        self.n, self.me = n, me
-        self.je = je
+    def __init__(self, low: sp.coo_matrix, reg: float, delta: float,
+                 n: int, me: int):
+        r, c = low.row, low.col
+        v = low.data.copy()
+        on_diag = r == c
+        v[on_diag] += np.where(r[on_diag] < n, reg, -delta)
+        strict = r > c
+        k = sp.csc_matrix((np.concatenate([v, v[strict]]),
+                           (np.concatenate([r, c[strict]]),
+                            np.concatenate([c, r[strict]]))),
+                          shape=low.shape)
         self.ok = False
-        w = hfull.copy()
-        idx = np.arange(n)
-        w[idx, idx] += reg
         try:
-            self.ch = sla.cho_factor(w, lower=True, check_finite=False)
-        except sla.LinAlgError:
+            self.lu = splu(k, permc_spec="MMD_AT_PLUS_A",
+                           diag_pivot_thresh=0.0,
+                           options={"SymmetricMode": True})
+        except RuntimeError:
             return
-        if me:
-            jet = je.toarray().T
-            self.x_block = sla.cho_solve(self.ch, jet, check_finite=False)
-            s = je @ self.x_block
-            s = 0.5 * (s + s.T)
-            idx = np.arange(me)
-            s[idx, idx] += max(delta, 1e-14)
-            try:
-                self.cs = sla.cho_factor(s, lower=True, check_finite=False)
-            except sla.LinAlgError:
-                return
-        self.ok = True
+        d = self.lu.U.diagonal()
+        self.ok = (np.array_equal(self.lu.perm_r, self.lu.perm_c)
+                   and np.count_nonzero(d > 0.0) == n
+                   and np.count_nonzero(d < 0.0) == me)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        n, me = self.n, self.me
-        r1, r2 = rhs[:n], rhs[n:]
-        t = sla.cho_solve(self.ch, r1, check_finite=False)
-        if not me:
-            return t
-        dy = sla.cho_solve(self.cs, self.je @ t - r2, check_finite=False)
-        dx = t - self.x_block @ dy
-        return np.concatenate([dx, dy])
-
-
-def _factor(hfull, je, reg, delta, n, me, options: SolverOptions):
-    backend = options.linear_solver
-    if backend == "auto":
-        backend = ("bunch_kaufman" if n + me <= options.dense_switch
-                   else "schur")
-    cls = _BunchKaufman if backend == "bunch_kaufman" else _SchurCholesky
-    return cls(hfull, je, reg, delta, n, me)
+        return self.lu.solve(rhs)
 
 
 # --- solver ----------------------------------------------------------------
@@ -465,11 +418,7 @@ class _Ipm:
                        + np.where(self.fxu, zxu / gxu, 0.0))
             ds_diag = (np.where(self.fsl, zsl / gsl, 0.0)
                        + np.where(self.fsu, zsu / gsu, 0.0))
-            hfull = hess + sp.diags(dx_diag, format="csr")
-            if mi:
-                hfull = hfull + ji.T @ sp.diags(ds_diag) @ ji
-            hfull = np.asarray(hfull.todense())
-            hfull = 0.5 * (hfull + hfull.T)
+            kkt = _kkt_lower(hess, dx_diag, ji, ds_diag, je)
 
             mu_xl = np.where(self.fxl, mu / gxl, 0.0)
             mu_xu = np.where(self.fxu, mu / gxu, 0.0)
@@ -482,10 +431,10 @@ class _Ipm:
                 phi_x = phi_x + ji.T @ lam_i
             phi_s = lam_i + mu_sl - mu_su
 
-            reg, delta = 0.0, 0.0
+            reg, delta = 0.0, _DELTA0
             fact = None
             for attempt in range(opt.max_reg_retries + 1):
-                fact = _factor(hfull, je, reg, delta, n, me, opt)
+                fact = _SparseLdl(kkt, reg, delta, n, me)
                 if fact.ok:
                     break
                 if reg == 0.0:
@@ -493,7 +442,7 @@ class _Ipm:
                     reg = max(opt.reg0, reg_last / 3.0)
                 else:
                     reg = max(opt.reg0, 10.0 * reg)
-                delta = max(1e-12, 10.0 * delta)
+                delta = max(_DELTA0, 10.0 * delta)
             if fact is None or not fact.ok:
                 status = NUMERIC_FAILURE
                 message = "factorization failed after regularization retries"

@@ -169,16 +169,16 @@ def _compose(plan: RunPlan, inp: _Inputs):
         return compose_multiperiod(periods, plan.dt_minutes)
     if app == SCOPF:
         if len(periods) == 1:
-            return compose_scopf(inp.case, inp.ctgs, plan.mode)
+            return compose_scopf(periods[0], inp.ctgs, plan.mode)
         return compose_multiperiod_scopf(periods, inp.ctgs, plan.mode,
                                          plan.dt_minutes)
     if plan.structure == FLAT:
         if len(periods) > 1:
             raise errors.InvalidPlan(
                 "the flattened structure is single-period")
-        return compose_sopf_flat(inp.case, inp.scens, inp.ctgs, plan.mode)
+        return compose_sopf_flat(periods[0], inp.scens, inp.ctgs, plan.mode)
     if plan.structure == FULL and len(periods) == 1:
-        return compose_sopf_full(inp.case, inp.scens, inp.ctgs, plan.mode)
+        return compose_sopf_full(periods[0], inp.scens, inp.ctgs, plan.mode)
     return compose_general(inp.scens, inp.ctgs, periods, plan.mode,
                            plan.dt_minutes)
 
@@ -266,10 +266,11 @@ def _chain_task(payload):
 def run_empar(plan: RunPlan) -> RunReport:
     """Drop all coupling and solve every chain independently.
 
-    Subproblems are dispatched to at most plan.workers processes and
-    aggregated in stage-index order, so reports do not depend on
-    completion order.  Failures are recorded per subproblem and mark
-    the report Degraded instead of aborting the run.
+    Subproblems are dispatched to at most plan.workers processes, and
+    never to more processes than there are chains.  They are aggregated
+    in stage-index order, so reports do not depend on completion order.
+    Failures are recorded per subproblem and mark the report Degraded
+    instead of aborting the run.
     """
     plan.validate()
     if plan.structure != EMPAR:
@@ -302,7 +303,7 @@ def run_empar(plan: RunPlan) -> RunReport:
                            tuple(cases)))
         scen_pos += 1
 
-    workers = plan.workers or os.cpu_count() or 1
+    workers = min(plan.workers or os.cpu_count() or 1, len(chains))
     payloads = [(cases, plan.dt_minutes, plan.tol, plan.max_iter)
                 for _, _, _, cases in chains]
     if workers == 1:

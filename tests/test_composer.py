@@ -41,9 +41,14 @@ class TestStageLattice:
         assert all(w == 1.0 for w in imap.weights)
 
     def test_multiperiod_periods(self, case9):
-        _, imap = compose_multiperiod([case9] * 3, 5.0)
+        p, imap = compose_multiperiod([case9] * 3, 5.0)
         assert [s.period for s in imap.stages] == [0, 1, 2]
         assert all(s.contingency is None for s in imap.stages)
+        # the dense Bunch-Kaufman solver this one replaced took the
+        # same path to the same point
+        r = solve(p, SolverOptions())
+        assert r.status == "Optimal" and r.iterations == 15
+        assert r.objective == pytest.approx(9147.738552133826, rel=1e-8)
 
     def test_general_lattice_order(self, case9, ctgs, scens):
         """Stages enumerate scenario-major, then contingency, then time."""

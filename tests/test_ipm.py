@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from opfkit import (
     SolverOptions,
@@ -11,6 +14,7 @@ from opfkit import (
     kkt_error,
     solve,
 )
+from opfkit.ipm import _kkt_lower, _SparseLdl
 
 from problems import (
     infeasible_box,
@@ -91,14 +95,104 @@ class TestDeterminism:
         assert r1.status == r2.status == "Optimal"
         assert np.array_equal(r1.x, r2.x)
         assert r1.objective == r2.objective
+        # the dense Bunch-Kaufman solver this one replaced took the
+        # same path to the same point
+        assert r1.iterations == 15
+        assert r1.objective == pytest.approx(3049.2461840446076, rel=1e-8)
 
-    def test_backends_agree(self, case9):
-        p, _ = build_acopf(case9)
-        dense = solve(p, SolverOptions(linear_solver="bunch_kaufman"))
-        schur = solve(p, SolverOptions(linear_solver="schur"))
-        assert dense.status == "Optimal"
-        assert schur.status == "Optimal"
-        assert schur.objective == pytest.approx(dense.objective, rel=1e-8)
+
+def _kkt_blocks(seed, n, me, density):
+    """Random sparse KKT data: symmetric indefinite H, a Je with one
+    boosted entry per row in distinct columns (so almost always of full
+    row rank), and an inequality part Ji' Ds Ji with Ds > 0."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) * (rng.random((n, n)) < density)
+    h = a + a.T
+    je = rng.standard_normal((me, n)) * (rng.random((me, n)) < density)
+    je[np.arange(me), rng.permutation(n)[:me]] += 1.0 + rng.random(me)
+    mi = int(rng.integers(0, n + 1))
+    ji = rng.standard_normal((mi, n)) * (rng.random((mi, n)) < density)
+    ds = rng.uniform(0.1, 10.0, mi)
+    dx = rng.uniform(0.0, 1.0, n) * (rng.random(n) < 0.5)
+    return h, dx, ji, ds, je
+
+
+def _dense_kkt(h, dx, ji, ds, je, reg, delta):
+    n, me = h.shape[0], je.shape[0]
+    k = np.zeros((n + me, n + me))
+    k[:n, :n] = h + np.diag(dx + reg) + ji.T @ (ds[:, None] * ji)
+    k[n:, :n] = je
+    k[:n, n:] = je.T
+    k[n:, n:] = -delta * np.eye(me)
+    return k
+
+
+def _sparse_factor(h, dx, ji, ds, je, reg, delta):
+    n, me = h.shape[0], je.shape[0]
+    low = _kkt_lower(sp.csr_matrix(h), dx, sp.csr_matrix(ji), ds,
+                     sp.csr_matrix(je))
+    return _SparseLdl(low, reg, delta, n, me)
+
+
+_KKT_CASES = dict(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 14),
+    me_frac=st.floats(0.0, 0.9),
+    density=st.sampled_from([0.2, 0.5, 1.0]),
+    reg=st.sampled_from([0.0, 1e-8, 1e-4, 1.0, 10.0]),
+    delta=st.sampled_from([1e-9, 1e-6, 1e-2]),
+)
+
+
+class TestKktFactor:
+
+    @settings(max_examples=200, deadline=None)
+    @given(**_KKT_CASES)
+    def test_ok_factor_counts_eigenvalues(self, seed, n, me_frac, density,
+                                          reg, delta):
+        """An accepted factor certifies inertia (n, m_eq) and solves K."""
+        me = max(1, int(me_frac * n))
+        blocks = _kkt_blocks(seed, n, me, density)
+        assume(np.linalg.matrix_rank(blocks[4]) == me)
+        k = _dense_kkt(*blocks, reg, delta)
+        eig = np.linalg.eigvalsh(k)
+        # inertia is only numerically defined away from singularity
+        assume(np.min(np.abs(eig)) > 1e-8 * np.max(np.abs(eig)))
+        fact = _sparse_factor(*blocks, reg, delta)
+        if fact.ok:
+            assert (np.count_nonzero(eig > 0), np.count_nonzero(eig < 0)) \
+                == (n, me)
+            rhs = np.random.default_rng(seed).standard_normal(n + me)
+            sol = fact.solve(rhs)
+            assert np.allclose(k @ sol, rhs, atol=1e-6 * np.max(np.abs(eig))
+                               * max(1.0, np.max(np.abs(sol))))
+
+    @settings(max_examples=100, deadline=None)
+    @given(**_KKT_CASES)
+    def test_quasi_definite_accepted(self, seed, n, me_frac, density, reg,
+                                     delta):
+        """Positive definite H and delta > 0 make K quasi-definite, which
+        has an LDL' factorization in every ordering."""
+        me = max(1, int(me_frac * n))
+        h, dx, ji, ds, je = _kkt_blocks(seed, n, me, density)
+        h = h @ h.T + np.eye(n)
+        assert _sparse_factor(h, dx, ji, ds, je, reg, delta).ok
+
+    @settings(max_examples=100, deadline=None)
+    @given(**_KKT_CASES)
+    def test_negative_curvature_on_null_space_rejected(
+            self, seed, n, me_frac, density, reg, delta):
+        """H = 10 Je' Je - (B B' + I) is indefinite but at most -I on
+        null(Je), and stays negative definite there with reg <= 0.5, so
+        K has at most m_eq < n positive eigenvalues."""
+        me = min(n - 1, max(1, int(me_frac * n)))
+        _, _, _, _, je = _kkt_blocks(seed, n, me, density)
+        b = np.random.default_rng(seed).standard_normal((n, n))
+        h = 10.0 * je.T @ je - (b @ b.T + np.eye(n))
+        empty = np.zeros((0, n))
+        fact = _sparse_factor(h, np.zeros(n), empty, np.zeros(0), je,
+                              min(reg, 0.5), delta)
+        assert not fact.ok
 
 
 class TestIterationLog:

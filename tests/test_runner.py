@@ -99,6 +99,27 @@ class TestMonolithic:
         report = run(scopf_plan(nc=1))
         assert report.stage_count() == 2
 
+    @pytest.mark.parametrize("application,structure", [
+        ("Scopf", "Monolithic"), ("Sopf", "Flat"), ("Sopf", "Full")])
+    def test_single_period_profile_sets_loads(self, tmp_path, application,
+                                              structure):
+        """A one-row load profile replaces the case loads in every stage,
+        whichever structure composes the single period."""
+        pd, qd = [110.0, 110.0, 120.0], [35.0, 32.0, 40.0]
+        pload, qload = tmp_path / "p.csv", tmp_path / "q.csv"
+        pload.write_text("time_min,5,6,8\n0," + ",".join(map(str, pd)) + "\n")
+        qload.write_text("time_min,5,6,8\n0," + ",".join(map(str, qd)) + "\n")
+        report = run(RunPlan(application=application, netfile=NET,
+                             structure=structure, ctgcfile=CTG, nc=1,
+                             scenfile=SCEN if application == "Sopf" else None,
+                             pload=str(pload), qload=str(qload)))
+        assert report.status == "Optimal"
+        for st in report.stages:
+            case = st.solution.case
+            loads = [case.buses[case.bus_pos[b]] for b in (5, 6, 8)]
+            assert [b.pd for b in loads] == pd
+            assert [b.qd for b in loads] == qd
+
     def test_starved_solve_reports_solver_status(self):
         """A failed monolithic solve surfaces as-is; Degraded is
         reserved for partially failed parallel runs."""
@@ -117,6 +138,10 @@ class TestEmpar:
         assert one.status == two.status == "Optimal"
         assert [s.objective for s in one.stages] \
             == [s.objective for s in two.stages]
+
+    def test_workers_capped_at_chain_count(self):
+        report = run(scopf_plan(structure="Empar", nc=0, workers=8))
+        assert report.workers == 1
 
     def test_chains_drop_coupling(self):
         """Relaxation: the independent total cannot exceed monolithic."""
