@@ -4,16 +4,17 @@ primal-dual interior-point method.
 
 The public surface re-exported here covers the usual workflow: parse a
 MATPOWER case (`load_case`), build or compose an NLP (`build_acopf`,
-`compose_*`), solve it (`solve`), and inspect or write the result
-(`extract_solution`, `write_case`, `run`, `write_output_tree`).
+`build_lattice`, `compose_*`), solve it (`solve`), and inspect or
+write the result (`extract_solution`, `write_case`, `run`,
+`write_output_tree`).
 """
 
 from . import errors
 from .acopf import (AcopfLayout, SolvedCase, build_acopf, extract_solution,
                     pack_solution, residuals_at, solution_from_case)
 from .composer import (CORRECTIVE, PREVENTIVE, CompositeIndexMap,
-                       CouplingMode, CouplingRow, StageSpec,
-                       compose_general, compose_multiperiod,
+                       CouplingMode, CouplingRow, Lattice, StageSpec,
+                       build_lattice, compose_general, compose_multiperiod,
                        compose_multiperiod_scopf, compose_scopf,
                        compose_sopf_flat, compose_sopf_full)
 from .inputs import (ContingencySet, ScenarioSet, parse_contingencies,
@@ -40,11 +41,12 @@ __all__ = [
     "AcopfLayout", "Branch", "Bus", "CompositeIndexMap", "Contingency",
     "ContingencySet", "CouplingMode", "CouplingRow", "CORRECTIVE",
     "DerivativeReport", "GenCost", "Generator", "IterationRecord",
-    "LoadProfile", "NetworkCase", "NlpProblem", "Outage", "PREVENTIVE",
+    "Lattice", "LoadProfile", "NetworkCase", "NlpProblem", "Outage", "PREVENTIVE",
     "RawCase", "RunPlan", "RunReport", "Scenario", "ScenarioSet",
     "SolveResult", "SolvedCase", "SolverOptions", "StageReport",
     "StageSpec", "apply_contingency", "apply_load_step", "apply_scenario",
-    "branch_admittance", "build_acopf", "check_connectivity",
+    "branch_admittance", "build_acopf", "build_lattice",
+    "check_connectivity",
     "check_derivatives", "compare_empar_monolithic", "compose_general",
     "compose_multiperiod", "compose_multiperiod_scopf", "compose_scopf",
     "compose_sopf_flat", "compose_sopf_full", "declare_wind", "errors",

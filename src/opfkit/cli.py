@@ -17,13 +17,14 @@ from dataclasses import dataclass
 from . import errors
 from .composer import CORRECTIVE, PREVENTIVE, CouplingMode
 from .ipm import OPTIMAL
-from .runner import (EMPAR, FLAT, FULL, MONOLITHIC, OPF, SCOPF, SOPF, TCOPF,
+from .runner import (EMPAR, FLAT, MONOLITHIC, OPF, SCOPF, SOPF, TCOPF,
                      DEGRADED, RunPlan, run, write_output_tree)
 
 _APPLICATION = {"opflow": OPF, "tcopflow": TCOPF,
                 "scopflow": SCOPF, "sopflow": SOPF}
+# "full" is kept as a name for the monolithic three-level lattice
 _STRUCTURE = {"monolithic": MONOLITHIC, "empar": EMPAR,
-              "flat": FLAT, "full": FULL}
+              "flat": FLAT, "full": MONOLITHIC}
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -136,8 +137,8 @@ def _build_parser() -> argparse.ArgumentParser:
                              choices=["monolithic", "empar", "flat",
                                       "full"],
                              default="monolithic",
-                             help="coupling topology or EMPAR "
-                                  "(default monolithic)")
+                             help="coupling topology or EMPAR; full is "
+                                  "monolithic (default monolithic)")
     return parser
 
 

@@ -1,8 +1,10 @@
 """Composite problem builders: time, contingency, and scenario coupling.
 
-Every composite is block-diagonal per stage (one full ACOPF per
-(scenario, contingency, period) triple) plus linear two-stage coupling
-rows on generator set-points:
+`build_lattice` is the one enumerator of the (scenario, contingency,
+period) lattice; monolithic, flat and EMPAR runs all build on it and
+differ only in their coupling.  Every composite is block-diagonal per
+stage (one full ACOPF per (scenario, contingency, period) triple) plus
+linear two-stage coupling rows on generator set-points:
 
 * Ramp rows chain consecutive periods of one (scenario, contingency):
   |Pg_t - Pg_{t-1}| <= ramp_30 * (dt/30) / base_mva.
@@ -13,7 +15,9 @@ rows on generator set-points:
   mismatch), optionally also pinning VM at generator buses.
 * Scenario rows tie each scenario's base stage to the most probable
   scenario (ties to the lowest id) with a Pg box of the same 30-minute
-  width, regardless of mode.
+  width, regardless of mode.  The flat composite instead ties every
+  stage to the global base with contingency rows, so in preventive
+  mode it pins scenario bases too.
 
 The composite constraint vector is [stage equalities..., pins,
 stage inequalities..., boxes]; coupling rows always read
@@ -24,7 +28,7 @@ scale both the stage objectives and their Hessian blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,7 +36,6 @@ import scipy.sparse as sp
 from .acopf import AcopfLayout, build_acopf
 from .errors import EmptyScenarioSet, InvalidPlan, TopologyMismatch
 from .inputs import ContingencySet, ScenarioSet
-from .ipm import SolverOptions  # noqa: F401  (re-exported for callers)
 from .network import (
     REF,
     Contingency,
@@ -80,7 +83,8 @@ class CouplingRow:
     """One cross-stage constraint row.
 
     row is the absolute index into the stacked [equalities;
-    inequalities] composite constraint vector; the row value is always
+    inequalities] composite constraint vector (-1 until the composite
+    is assembled); the row value is always
     (stage_a quantity) - (stage_b quantity) with stage_a the later or
     child stage.  gen and bus are positions into the full element lists
     of the input case; exactly one of them is set.
@@ -131,70 +135,110 @@ def _live_both(a: NetworkCase, b: NetworkCase) -> list[int]:
             if ga.status != 0 and gb.status != 0]
 
 
-@dataclass
-class _PendingRow:
-    kind: str
-    stage_a: int
-    stage_b: int
-    gen: int | None
-    bus: int | None
-    bound: float
-    is_equality: bool
+@dataclass(frozen=True)
+class Lattice:
+    """The stages of one (scenario, contingency, period) lattice.
+
+    Stages run scenario-major, then contingency, then period; position
+    0 on each axis is the base: the most probable scenario, the intact
+    network and the first period.  Weights are the normalized scenario
+    probabilities, repeated on every stage of a scenario.
+    """
+    stages: tuple[StageSpec, ...]
+    weights: tuple[float, ...]
+    shape: tuple[int, int, int]     # (scenarios, contingencies + 1, periods)
+
+    def index(self, s: int, c: int, t: int) -> int:
+        _, n_c, n_t = self.shape
+        return (s * n_c + c) * n_t + t
+
+    def chains(self) -> dict[tuple[int, int], range]:
+        """Stage indices of each (scenario, contingency) chain of periods."""
+        n_s, n_c, n_t = self.shape
+        return {divmod(k, n_c): range(k * n_t, (k + 1) * n_t)
+                for k in range(n_s * n_c)}
+
+
+def build_lattice(scenarios: ScenarioSet | None, ctgs: ContingencySet | None,
+                  periods: list[NetworkCase], dt_minutes: float) -> Lattice:
+    """Apply every scenario and contingency to every period; the base
+    scenario comes first and the others, like the contingencies after
+    the intact network, follow by id."""
+    if not periods:
+        raise InvalidPlan("at least one period is required")
+    if len(periods) > 1 and not dt_minutes > 0:
+        raise InvalidPlan("dt_minutes must be positive for multiple periods")
+    for later in periods[1:]:
+        _check_topology(periods[0], later)
+    scen_order: list[tuple[Scenario | None, float]] = [(None, 1.0)]
+    if scenarios is not None:
+        items = list(scenarios.scenarios)
+        if not items:
+            raise EmptyScenarioSet("no scenarios to compose")
+        total = sum(s.weight for s in items)
+        if not total > 0.0:
+            raise EmptyScenarioSet("scenario weights sum to zero")
+        base = scenarios.base_index()
+        rest = sorted((s for i, s in enumerate(items) if i != base),
+                      key=lambda s: s.id)
+        scen_order = [(s, s.weight / total) for s in [items[base]] + rest]
+    ctg_order = [None] + ([] if ctgs is None else list(ctgs.by_id()))
+
+    stages: list[StageSpec] = []
+    weights: list[float] = []
+    for scen, weight in scen_order:
+        scen_periods = [apply_scenario(p, scen) if scen else p
+                        for p in periods]
+        for ctg in ctg_order:
+            stage_periods = ([apply_contingency(p, ctg) for p in scen_periods]
+                             if ctg else scen_periods)
+            for t, case in enumerate(stage_periods):
+                stages.append(StageSpec(scenario=scen, contingency=ctg,
+                                        period=t, dt_minutes=dt_minutes,
+                                        case=case))
+                weights.append(weight)
+    return Lattice(stages=tuple(stages), weights=tuple(weights),
+                   shape=(len(scen_order), len(ctg_order), len(periods)))
 
 
 class _Builder:
-    def __init__(self, name: str):
+    """Coupling rows over a lattice, then the composite NLP."""
+
+    def __init__(self, name: str, lattice: Lattice):
         self.name = name
-        self.specs: list[StageSpec] = []
-        self.weights: list[float] = []
-        self.rows: list[_PendingRow] = []
+        self.specs = lattice.stages
+        self.weights = lattice.weights
+        self.rows: list[CouplingRow] = []
 
-    def add_stage(self, spec: StageSpec, weight: float) -> int:
-        self.specs.append(spec)
-        self.weights.append(weight)
-        return len(self.specs) - 1
-
-    def ramp_rows(self, child: int, base: int, dt_minutes: float) -> None:
-        case = self.specs[base].case
-        for gp in _live_both(self.specs[child].case, case):
-            bound = case.gens[gp].ramp_30 * (dt_minutes / 30.0) / case.base_mva
-            self.rows.append(_PendingRow(RAMP, child, base, gp, None,
-                                         bound, False))
+    def box_rows(self, kind: str, child: int, base: int,
+                 scale: float) -> None:
+        """|Pg_child - Pg_base| <= scale * ramp_30 for shared live units."""
+        base_case = self.specs[base].case
+        for gp in _live_both(self.specs[child].case, base_case):
+            bound = base_case.gens[gp].ramp_30 * scale / base_case.base_mva
+            self.rows.append(CouplingRow(kind, child, base, gp, None, bound,
+                                         -1, False))
 
     def mode_rows(self, child: int, base: int, mode: CouplingMode,
-                  box_kind: str = CONTINGENCY_BOX,
-                  scale: float | None = None) -> None:
-        base_case = self.specs[base].case
-        child_case = self.specs[child].case
-        live = _live_both(child_case, base_case)
+                  box_kind: str, scale: float) -> None:
+        """A box of the given kind in corrective mode, else pins."""
         if mode.kind == CORRECTIVE:
-            mult = mode.contingency_scale if scale is None else scale
-            for gp in live:
-                bound = base_case.gens[gp].ramp_30 * mult / base_case.base_mva
-                self.rows.append(_PendingRow(box_kind, child, base, gp,
-                                             None, bound, False))
+            self.box_rows(box_kind, child, base, scale)
             return
+        base_case = self.specs[base].case
+        live = _live_both(self.specs[child].case, base_case)
         for gp in live:
             bus_pos = base_case.bus_pos[base_case.gens[gp].bus]
             if base_case.buses[bus_pos].btype == REF:
                 continue    # reference machines absorb the mismatch
-            self.rows.append(_PendingRow(PREVENTIVE_PIN, child, base, gp,
-                                         None, 0.0, True))
+            self.rows.append(CouplingRow(PREVENTIVE_PIN, child, base, gp,
+                                         None, 0.0, -1, True))
         if mode.pin_voltages:
             live_buses = sorted({base_case.bus_pos[base_case.gens[gp].bus]
                                  for gp in live})
             for bp in live_buses:
-                self.rows.append(_PendingRow(PREVENTIVE_PIN, child, base,
-                                             None, bp, 0.0, True))
-
-    def scenario_rows(self, child: int, base: int,
-                      mode: CouplingMode) -> None:
-        base_case = self.specs[base].case
-        for gp in _live_both(self.specs[child].case, base_case):
-            bound = (base_case.gens[gp].ramp_30 * mode.scenario_scale
-                     / base_case.base_mva)
-            self.rows.append(_PendingRow(SCENARIO_BOX, child, base, gp,
-                                         None, bound, False))
+                self.rows.append(CouplingRow(PREVENTIVE_PIN, child, base,
+                                             None, bp, 0.0, -1, True))
 
     def assemble(self) -> tuple[NlpProblem, CompositeIndexMap]:
         specs = self.specs
@@ -219,7 +263,7 @@ class _Builder:
         m_eq = me_stage + len(pins)
         m_ineq = mi_stage + len(boxes)
 
-        def var_of(r: _PendingRow, stage: int) -> int:
+        def var_of(r: CouplingRow, stage: int) -> int:
             lay = layouts[stage]
             pos = lay.pg[r.gen] if r.gen is not None else lay.vm[r.bus]
             return int(var_off[stage] + pos)
@@ -230,10 +274,7 @@ class _Builder:
             row = me_stage + i if r.is_equality else m_eq + mi_stage + (
                 i - len(pins))
             va, vb = var_of(r, r.stage_a), var_of(r, r.stage_b)
-            coupling.append(CouplingRow(
-                kind=r.kind, stage_a=r.stage_a, stage_b=r.stage_b,
-                gen=r.gen, bus=r.bus, bound=r.bound, row=row,
-                is_equality=r.is_equality))
+            coupling.append(replace(r, row=row))
             c_rows += [row, row]
             c_cols += [va, vb]
             c_vals += [1.0, -1.0]
@@ -324,81 +365,41 @@ class _Builder:
         return problem, index
 
 
-def _scenario_order(scenarios: ScenarioSet | None) -> list[tuple[Scenario | None, float]]:
-    """(scenario, normalized weight) with the base scenario first."""
-    if scenarios is None:
-        return [(None, 1.0)]
-    items = list(scenarios.scenarios)
-    if not items:
-        raise EmptyScenarioSet("no scenarios to compose")
-    total = sum(s.weight for s in items)
-    if not total > 0.0:
-        raise EmptyScenarioSet("scenario weights sum to zero")
-    base = scenarios.base_index()
-    rest = sorted((s for i, s in enumerate(items) if i != base),
-                  key=lambda s: s.id)
-    return [(s, s.weight / total) for s in [items[base]] + rest]
-
-
-def _ctg_order(ctgs: ContingencySet | None) -> list[Contingency | None]:
-    if ctgs is None:
-        return [None]
-    return [None] + list(ctgs.by_id())
-
-
-def _general_impl(scenarios: ScenarioSet | None, ctgs: ContingencySet | None,
-                  periods: list[NetworkCase], mode: CouplingMode,
-                  dt_minutes: float, name: str):
-    if not periods:
-        raise InvalidPlan("at least one period is required")
-    nt = len(periods)
-    if nt > 1 and not dt_minutes > 0:
-        raise InvalidPlan("dt_minutes must be positive for multiple periods")
-    for t in range(1, nt):
-        _check_topology(periods[0], periods[t])
-
-    b = _Builder(name)
-    stage_of: dict[tuple[int, int, int], int] = {}
-    scen_order = _scenario_order(scenarios)
-    for s_pos, (scen, weight) in enumerate(scen_order):
-        scen_periods = [apply_scenario(p, scen) if scen else p
-                        for p in periods]
-        for c_pos, ctg in enumerate(_ctg_order(ctgs)):
-            stage_periods = ([apply_contingency(p, ctg) for p in scen_periods]
-                             if ctg else scen_periods)
-            for t in range(nt):
-                k = b.add_stage(StageSpec(
-                    scenario=scen, contingency=ctg, period=t,
-                    dt_minutes=dt_minutes, case=stage_periods[t]), weight)
-                stage_of[(s_pos, c_pos, t)] = k
-
-    n_s = len(scen_order)
-    n_c = len(_ctg_order(ctgs))
-    for s_pos in range(n_s):
-        for c_pos in range(n_c):
-            for t in range(1, nt):
-                b.ramp_rows(stage_of[(s_pos, c_pos, t)],
-                            stage_of[(s_pos, c_pos, t - 1)], dt_minutes)
-        for c_pos in range(1, n_c):
-            b.mode_rows(stage_of[(s_pos, c_pos, 0)],
-                        stage_of[(s_pos, 0, 0)], mode)
-        if s_pos > 0:
-            b.scenario_rows(stage_of[(s_pos, 0, 0)], stage_of[(0, 0, 0)],
-                            mode)
+def compose_general(scenarios: ScenarioSet | None,
+                    ctgs: ContingencySet | None,
+                    periods: list[NetworkCase], mode: CouplingMode,
+                    dt_minutes: float):
+    """Full (scenario, contingency, period) lattice: ramp rows along
+    every chain, contingency rows from each chain's first period to its
+    scenario's base stage, scenario boxes from each scenario's base
+    stage to the global base."""
+    lattice = build_lattice(scenarios, ctgs, list(periods), dt_minutes)
+    n_s, n_c, n_t = lattice.shape
+    b = _Builder(f"lattice(ns={n_s},nc={n_c - 1},nt={n_t})", lattice)
+    at = lattice.index
+    for s in range(n_s):
+        for c in range(n_c):
+            for t in range(1, n_t):
+                b.box_rows(RAMP, at(s, c, t), at(s, c, t - 1),
+                           dt_minutes / 30.0)
+        for c in range(1, n_c):
+            b.mode_rows(at(s, c, 0), at(s, 0, 0), mode, CONTINGENCY_BOX,
+                        mode.contingency_scale)
+        if s > 0:
+            b.box_rows(SCENARIO_BOX, at(s, 0, 0), at(0, 0, 0),
+                       mode.scenario_scale)
     return b.assemble()
 
 
 def compose_multiperiod(cases: list[NetworkCase], dt_minutes: float):
     """Ramp-coupled horizon; one stage per period, loads may vary."""
-    return _general_impl(None, None, list(cases), CouplingMode(),
-                         dt_minutes, f"tcopf(nt={len(cases)})")
+    return compose_general(None, None, cases, CouplingMode(), dt_minutes)
 
 
 def compose_scopf(base: NetworkCase, ctgs: ContingencySet,
                   mode: CouplingMode):
     """Base plus post-contingency stages coupled at the base point."""
-    return _general_impl(None, ctgs, [base], mode, 30.0,
-                         f"scopf(nc={len(ctgs)})")
+    return compose_general(None, ctgs, [base], mode, 30.0)
 
 
 def compose_multiperiod_scopf(base_periods: list[NetworkCase],
@@ -406,52 +407,26 @@ def compose_multiperiod_scopf(base_periods: list[NetworkCase],
                               dt_minutes: float):
     """Every (contingency, period) stage; contingency coupling at the
     first period only, ramp chains within each contingency."""
-    return _general_impl(
-        None, ctgs, list(base_periods), mode, dt_minutes,
-        f"tcopf-scopf(nc={len(ctgs)},nt={len(base_periods)})")
+    return compose_general(None, ctgs, base_periods, mode, dt_minutes)
 
 
 def compose_sopf_full(base: NetworkCase, scenarios: ScenarioSet,
                       ctgs: ContingencySet | None, mode: CouplingMode):
     """Three-stage tree: contingencies couple to their scenario base,
     scenario bases couple to the most probable scenario."""
-    nc = 0 if ctgs is None else len(ctgs)
-    return _general_impl(scenarios, ctgs, [base], mode, 30.0,
-                         f"sopf-full(ns={len(scenarios)},nc={nc})")
-
-
-def compose_general(scenarios: ScenarioSet | None,
-                    ctgs: ContingencySet | None,
-                    periods: list[NetworkCase], mode: CouplingMode,
-                    dt_minutes: float):
-    """Full (scenario, contingency, period) lattice."""
-    n_s = 1 if scenarios is None else len(scenarios)
-    n_c = 0 if ctgs is None else len(ctgs)
-    return _general_impl(
-        scenarios, ctgs, list(periods), mode, dt_minutes,
-        f"sopf-general(ns={n_s},nc={n_c},nt={len(periods)})")
+    return compose_general(scenarios, ctgs, [base], mode, 30.0)
 
 
 def compose_sopf_flat(base: NetworkCase, scenarios: ScenarioSet,
                       ctgs: ContingencySet | None, mode: CouplingMode):
     """Flattened stochastic composite: all (scenario, contingency)
     stages couple directly to the most probable scenario's base stage."""
-    b = _Builder(f"sopf-flat(ns={len(scenarios)},"
-                 f"nc={0 if ctgs is None else len(ctgs)})")
-    stage_ids: list[tuple[int, int, int]] = []
-    for s_pos, (scen, weight) in enumerate(_scenario_order(scenarios)):
-        scen_case = apply_scenario(base, scen) if scen else base
-        for c_pos, ctg in enumerate(_ctg_order(ctgs)):
-            case = apply_contingency(scen_case, ctg) if ctg else scen_case
-            k = b.add_stage(StageSpec(
-                scenario=scen, contingency=ctg, period=0,
-                dt_minutes=30.0, case=case), weight)
-            stage_ids.append((s_pos, c_pos, k))
-    for s_pos, c_pos, k in stage_ids:
-        if k == 0:
-            continue
-        box_kind = CONTINGENCY_BOX if c_pos > 0 else SCENARIO_BOX
-        b.mode_rows(k, 0, mode, box_kind=box_kind,
-                    scale=(mode.contingency_scale if c_pos > 0
-                           else mode.scenario_scale))
+    lattice = build_lattice(scenarios, ctgs, [base], 30.0)
+    n_s, n_c, _ = lattice.shape
+    b = _Builder(f"flat(ns={n_s},nc={n_c - 1})", lattice)
+    for k in range(1, len(lattice.stages)):
+        if k % n_c:
+            b.mode_rows(k, 0, mode, CONTINGENCY_BOX, mode.contingency_scale)
+        else:
+            b.mode_rows(k, 0, mode, SCENARIO_BOX, mode.scenario_scale)
     return b.assemble()

@@ -3,10 +3,12 @@ parallel execution, output trees, and machine-readable reports.
 
 A RunPlan names one of four applications (Opf, Tcopf, Scopf, Sopf),
 how to couple it (mode), how to solve it (structure), and where its
-inputs and outputs live.  Monolithic structures compose one NLP and
-solve it once; Empar drops every coupling row and solves each
-(scenario, contingency) chain as an independent problem on a worker
-pool.  All runs write one MATPOWER file per stage plus a summary.json.
+inputs and outputs live.  Every structure starts from the same
+(scenarios, contingencies, periods) and the same lattice.  Monolithic
+and Flat compose one NLP and solve it once; Empar drops every coupling
+row and solves each (scenario, contingency) chain of periods as an
+independent problem on a worker pool.  All runs write one MATPOWER
+file per stage plus a summary.json.
 """
 
 from __future__ import annotations
@@ -15,26 +17,30 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import errors
 from .acopf import SolvedCase, extract_solution
-from .composer import (CORRECTIVE, CouplingMode, _ctg_order, _scenario_order,
+from .composer import (CompositeIndexMap, CouplingMode, build_lattice,
                        compose_general, compose_multiperiod,
-                       compose_multiperiod_scopf, compose_scopf,
-                       compose_sopf_flat, compose_sopf_full)
+                       compose_sopf_flat)
 from .inputs import (ContingencySet, ScenarioSet, parse_contingencies_file,
                      parse_load_profile_files, parse_scenarios_file)
 from .ipm import OPTIMAL, SolveResult, SolverOptions, solve
 from .matpower import write_case_file
-from .network import (LoadProfile, NetworkCase, apply_contingency,
-                      apply_load_step, apply_scenario, declare_wind,
-                      load_case)
+from .network import (LoadProfile, NetworkCase, apply_load_step,
+                      declare_wind, load_case)
+
+# Not called here; perfbench/tracing.py wraps these names on this module.
+from .composer import (compose_multiperiod_scopf, compose_scopf,  # noqa: F401
+                       compose_sopf_full)
+from .network import apply_contingency, apply_scenario  # noqa: F401
 
 OPF, TCOPF, SCOPF, SOPF = "Opf", "Tcopf", "Scopf", "Sopf"
-MONOLITHIC, EMPAR, FLAT, FULL = "Monolithic", "Empar", "Flat", "Full"
+MONOLITHIC, EMPAR, FLAT = "Monolithic", "Empar", "Flat"
 DEGRADED = "Degraded"
 
 _DEFAULT_OUTDIR = {OPF: "opflowout", TCOPF: "tcopflowout",
@@ -68,14 +74,13 @@ class RunPlan:
         if self.application not in (OPF, TCOPF, SCOPF, SOPF):
             raise errors.InvalidPlan(
                 f"unknown application {self.application!r}")
-        if self.structure not in (MONOLITHIC, EMPAR, FLAT, FULL):
+        if self.structure not in (MONOLITHIC, EMPAR, FLAT):
             raise errors.InvalidPlan(f"unknown structure {self.structure!r}")
         if self.structure == EMPAR and self.application not in (SCOPF, SOPF):
             raise errors.InvalidPlan(
                 "Empar structure is valid only for Scopf and Sopf")
-        if self.structure in (FLAT, FULL) and self.application != SOPF:
-            raise errors.InvalidPlan(
-                f"{self.structure} structure is valid only for Sopf")
+        if self.structure == FLAT and self.application != SOPF:
+            raise errors.InvalidPlan("Flat structure is valid only for Sopf")
         if self.application in (SCOPF, SOPF) and not self.ctgcfile:
             raise errors.InvalidPlan(
                 f"{self.application} requires a contingency file")
@@ -88,6 +93,11 @@ class RunPlan:
             raise errors.InvalidPlan("nt must be at least 1")
         if self.nt is not None and self.nt > 1 and not self.dt_minutes > 0:
             raise errors.InvalidPlan("dt_minutes must be positive")
+        for name in ("nc", "ns"):
+            if getattr(self, name) is not None and getattr(self, name) < 0:
+                raise errors.InvalidPlan(f"{name} must not be negative")
+        if self.workers is not None and self.workers < 1:
+            raise errors.InvalidPlan("workers must be at least 1")
 
     def out_directory(self) -> str:
         return self.outdir or _DEFAULT_OUTDIR[self.application]
@@ -151,36 +161,34 @@ def _load_inputs(plan: RunPlan) -> _Inputs:
     return _Inputs(case=case, ctgs=ctgs, scens=scens, profile=profile)
 
 
-def _base_periods(inp: _Inputs, plan: RunPlan) -> list[NetworkCase]:
-    nt = plan.nt
+def _lattice_inputs(plan: RunPlan, inp: _Inputs):
+    """The application's (scenarios, contingencies, periods)."""
+    app = plan.application
+    nt = 1 if app == OPF else plan.nt
     if nt is None:
         nt = len(inp.profile.times) if inp.profile else 1
-    if inp.profile is None:
-        return [inp.case] * nt
-    return [apply_load_step(inp.case, inp.profile, t) for t in range(nt)]
+    periods = ([inp.case] * nt if inp.profile is None else
+               [apply_load_step(inp.case, inp.profile, t) for t in range(nt)])
+    return (inp.scens if app == SOPF else None,
+            inp.ctgs if app in (SCOPF, SOPF) else None, periods)
 
 
 def _compose(plan: RunPlan, inp: _Inputs):
-    periods = _base_periods(inp, plan)
-    app = plan.application
-    if app == OPF:
-        return compose_multiperiod(periods[:1], plan.dt_minutes)
-    if app == TCOPF:
-        return compose_multiperiod(periods, plan.dt_minutes)
-    if app == SCOPF:
-        if len(periods) == 1:
-            return compose_scopf(periods[0], inp.ctgs, plan.mode)
-        return compose_multiperiod_scopf(periods, inp.ctgs, plan.mode,
-                                         plan.dt_minutes)
+    scens, ctgs, periods = _lattice_inputs(plan, inp)
     if plan.structure == FLAT:
         if len(periods) > 1:
             raise errors.InvalidPlan(
                 "the flattened structure is single-period")
-        return compose_sopf_flat(periods[0], inp.scens, inp.ctgs, plan.mode)
-    if plan.structure == FULL and len(periods) == 1:
-        return compose_sopf_full(periods[0], inp.scens, inp.ctgs, plan.mode)
-    return compose_general(inp.scens, inp.ctgs, periods, plan.mode,
-                           plan.dt_minutes)
+        return compose_sopf_flat(periods[0], scens, ctgs, plan.mode)
+    return compose_general(scens, ctgs, periods, plan.mode, plan.dt_minutes)
+
+
+def _stage_solutions(imap: CompositeIndexMap,
+                     x: np.ndarray) -> list[SolvedCase]:
+    """Each stage's solved case, read from the composite solution x."""
+    return [extract_solution(st.case, lay, x[off:off + lay.n_vars])
+            for st, lay, off in zip(imap.stages, imap.layouts,
+                                    imap.var_offset)]
 
 
 def _scenario_index(stages) -> dict[int | None, int]:
@@ -203,10 +211,8 @@ def run_monolithic(plan: RunPlan) -> RunReport:
                                           max_iter=plan.max_iter))
     scen_idx = _scenario_index(imap.stages)
     stages: list[StageReport] = []
-    for k, st in enumerate(imap.stages):
-        lay = imap.layouts[k]
-        xk = result.x[imap.var_offset[k]:imap.var_offset[k] + lay.n_vars]
-        sol = extract_solution(st.case, lay, xk)
+    sols = _stage_solutions(imap, result.x)
+    for k, (st, sol) in enumerate(zip(imap.stages, sols)):
         stages.append(StageReport(
             scenario=scen_idx[st.scenario.id if st.scenario else None],
             contingency=st.contingency.id if st.contingency else 0,
@@ -253,14 +259,17 @@ def _chain_task(payload):
     try:
         problem, imap = compose_multiperiod(list(cases), dt_minutes)
         result = solve(problem, SolverOptions(tol=tol, max_iter=max_iter))
-        sols = []
-        for k, st in enumerate(imap.stages):
-            lay = imap.layouts[k]
-            xk = result.x[imap.var_offset[k]:imap.var_offset[k] + lay.n_vars]
-            sols.append(extract_solution(st.case, lay, xk))
-        return result, sols, ""
+        return result, _stage_solutions(imap, result.x), ""
     except errors.OpfkitError as exc:
         return None, [], f"{type(exc).__name__}: {exc}"
+
+
+def _outcome(future):
+    """A chain task's result, or an error outcome if its worker died."""
+    try:
+        return future.result()
+    except BrokenProcessPool as exc:
+        return None, [], f"worker process died: {exc}"
 
 
 def run_empar(plan: RunPlan) -> RunReport:
@@ -277,31 +286,26 @@ def run_empar(plan: RunPlan) -> RunReport:
         raise errors.InvalidPlan("run_empar requires the Empar structure")
     t0 = time.perf_counter()
     inp = _load_inputs(plan)
-    periods = _base_periods(inp, plan)
+    scens, ctgs, periods = _lattice_inputs(plan, inp)
+    lattice = build_lattice(scens, ctgs, periods, plan.dt_minutes)
 
     anchor: SolvedCase | None = None
     if plan.empar_anchor:
         problem, imap = compose_multiperiod(periods[:1], plan.dt_minutes)
         res0 = solve(problem, SolverOptions(tol=plan.tol,
                                             max_iter=plan.max_iter))
-        anchor = extract_solution(imap.stages[0].case, imap.layouts[0],
-                                  res0.x[:imap.layouts[0].n_vars])
+        anchor = _stage_solutions(imap, res0.x)[0]
 
     chains = []     # (scenario_idx, ctg_id, weight, cases)
-    scen_pos = 0
-    for scen, weight in _scenario_order(inp.scens):
-        scen_periods = [apply_scenario(p, scen) if scen else p
-                        for p in periods]
-        for ctg in _ctg_order(inp.ctgs):
-            cases = ([apply_contingency(p, ctg) for p in scen_periods]
-                     if ctg else scen_periods)
-            if anchor is not None and (scen or ctg):
-                scale = (plan.mode.contingency_scale if ctg
-                         else plan.mode.scenario_scale)
-                cases = [_anchored(c, anchor, scale) for c in cases]
-            chains.append((scen_pos, ctg.id if ctg else 0, weight,
-                           tuple(cases)))
-        scen_pos += 1
+    for (s_idx, _), ks in lattice.chains().items():
+        first = lattice.stages[ks[0]]
+        cases = [lattice.stages[k].case for k in ks]
+        if anchor is not None and (first.scenario or first.contingency):
+            scale = (plan.mode.contingency_scale if first.contingency
+                     else plan.mode.scenario_scale)
+            cases = [_anchored(c, anchor, scale) for c in cases]
+        chains.append((s_idx, first.contingency.id if first.contingency
+                       else 0, lattice.weights[ks[0]], tuple(cases)))
 
     workers = min(plan.workers or os.cpu_count() or 1, len(chains))
     payloads = [(cases, plan.dt_minutes, plan.tol, plan.max_iter)
@@ -310,7 +314,8 @@ def run_empar(plan: RunPlan) -> RunReport:
         outcomes = [_chain_task(p) for p in payloads]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_chain_task, payloads))
+            futures = [pool.submit(_chain_task, p) for p in payloads]
+            outcomes = [_outcome(f) for f in futures]
 
     stages: list[StageReport] = []
     solves: list[SolveResult] = []

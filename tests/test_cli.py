@@ -130,7 +130,7 @@ class TestToPlan:
             "--structure", "full"]).to_plan()
         plan.validate()
         assert plan.application == "Sopf"
-        assert plan.structure == "Full"
+        assert plan.structure == "Monolithic"
         assert plan.scenfile == SCEN
         assert plan.ns == 1
         assert plan.nt == 2
@@ -188,6 +188,27 @@ class TestEntry:
         captured = capsys.readouterr()
         assert "Degraded" in captured.out
         assert "warning:" in captured.err
+
+    def test_empar_zero_dt_over_profile_exits_2(self, tmp_path, capsys):
+        code = cli.entry(["scopflow", "--netfile", NET, "--ctgcfile", CTG,
+                          "--structure", "empar", "--workers", "1",
+                          "--pload", PLOAD, "--qload", QLOAD, "--dt", "0",
+                          "--outdir", str(tmp_path / "out")])
+        assert code == cli.EXIT_USAGE
+        assert "dt_minutes" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["scopflow", "--structure", "empar", "--workers", "-3"],
+        ["scopflow", "--structure", "empar", "--workers", "0"],
+        ["scopflow", "--nc", "-2"],
+        ["sopflow", "--scenfile", SCEN, "--ns", "-1"]])
+    def test_negative_counts_exit_2(self, tmp_path, capsys, flags):
+        code = cli.entry([flags[0], "--netfile", NET, "--ctgcfile", CTG,
+                          *flags[1:], "--outdir", str(tmp_path / "out")])
+        assert code == cli.EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_truncation_flags_shape_the_run(self, tmp_path):
         """--ns/--nc limit the lattice: 1 scenario with base plus one

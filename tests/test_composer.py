@@ -1,13 +1,17 @@
 """Composite builders: stage lattices, coupling rows, reduction laws."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opfkit import (
     CouplingMode,
     SolverOptions,
+    build_lattice,
     compose_general,
     compose_multiperiod,
     compose_multiperiod_scopf,
@@ -16,6 +20,7 @@ from opfkit import (
     compose_sopf_full,
     errors,
     extract_solution,
+    parse_contingencies_file,
     parse_scenarios,
     solve,
 )
@@ -69,6 +74,71 @@ class TestStageLattice:
         scens = parse_scenarios("scenario,weight,wind_3_1\n1,6,75\n2,4,85\n")
         _, imap = compose_sopf_full(case9, scens, None, CORR)
         assert imap.weights == pytest.approx((0.6, 0.4))
+
+
+@pytest.fixture(scope="module")
+def branch_ctgs(data_dir):
+    return parse_contingencies_file(data_dir / "ctgc_branches.cont")
+
+
+class TestLatticeProperties:
+    """Shape laws of build_lattice and of the rows compose_general lays
+    over it, for random lattice shapes; nothing is solved."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(ns=st.integers(1, 2), nc=st.integers(0, 3), nt=st.integers(1, 3),
+           kind=st.sampled_from(["corrective", "preventive"]))
+    def test_stages_chains_and_rows(self, case9, scens, branch_ctgs, ns, nc,
+                                    nt, kind):
+        scenarios, ctgs = scens.truncated(ns), branch_ctgs.truncated(nc)
+        lattice = build_lattice(scenarios, ctgs, [case9] * nt, 5.0)
+        assert lattice.shape == (ns, nc + 1, nt)
+        assert len(lattice.stages) == ns * (nc + 1) * nt
+
+        ctg_order = [None] + list(ctgs.by_id())
+        scen_of = {}
+        pos = {}
+        for k, (s, c, t) in enumerate(itertools.product(
+                range(ns), range(nc + 1), range(nt))):
+            assert lattice.index(s, c, t) == k
+            stage = lattice.stages[k]
+            assert stage.period == t
+            assert stage.contingency is ctg_order[c]
+            assert scen_of.setdefault(s, stage.scenario) is stage.scenario
+            pos[k] = (s, c, t)
+        base = scenarios.scenarios[scenarios.base_index()]
+        assert scen_of[0] is base
+        assert [scen_of[s].id for s in range(1, ns)] == sorted(
+            x.id for x in scenarios.scenarios if x is not base)
+
+        chains = lattice.chains()
+        assert sorted(k for ks in chains.values() for k in ks) == list(
+            range(len(lattice.stages)))
+        for (s, c), ks in chains.items():
+            assert [pos[k] for k in ks] == [(s, c, t) for t in range(nt)]
+
+        _, imap = compose_general(scenarios, ctgs, [case9] * nt,
+                                  CouplingMode(kind=kind), 5.0)
+        triple = [(x.scenario, x.contingency, x.period) for x in imap.stages]
+        assert triple == [(x.scenario, x.contingency, x.period)
+                          for x in lattice.stages]
+        assert imap.weights == lattice.weights
+        # every row links the pairs its kind names, and every such pair
+        # has rows (no unit of case9 is outaged by a branch contingency)
+        links = {}
+        for r in imap.coupling_rows:
+            group = "ctg" if r.kind in (CONTINGENCY_BOX,
+                                        PREVENTIVE_PIN) else r.kind
+            links.setdefault(group, set()).add((pos[r.stage_a],
+                                                pos[r.stage_b]))
+        grid = list(itertools.product(range(ns), range(nc + 1)))
+        expect = {
+            RAMP: {((s, c, t), (s, c, t - 1))
+                   for s, c in grid for t in range(1, nt)},
+            "ctg": {((s, c, 0), (s, 0, 0)) for s, c in grid if c > 0},
+            SCENARIO_BOX: {((s, 0, 0), (0, 0, 0)) for s in range(1, ns)},
+        }
+        assert links == {k: v for k, v in expect.items() if v}
 
 
 class TestCouplingRows:

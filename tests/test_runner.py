@@ -1,6 +1,7 @@
 """Run orchestration: plans, monolithic and parallel execution, outputs."""
 
 import json
+import os
 from dataclasses import replace
 
 import pytest
@@ -11,6 +12,7 @@ from opfkit import (
     compare_empar_monolithic,
     errors,
     run,
+    runner,
     write_output_tree,
 )
 
@@ -25,6 +27,17 @@ def scopf_plan(**kw):
     base = dict(application="Scopf", netfile=NET, ctgcfile=CTG)
     base.update(kw)
     return RunPlan(**base)
+
+
+_chain_task = runner._chain_task
+
+
+def _die_on_generator_outage(payload):
+    """Chain task whose worker process exits on the generator outage."""
+    cases = payload[0]
+    if any(g.status == 0 for g in cases[0].gens):
+        os._exit(1)
+    return _chain_task(payload)
 
 
 class TestPlanValidation:
@@ -55,6 +68,12 @@ class TestPlanValidation:
         with pytest.raises(errors.InvalidPlan):
             RunPlan(application="Sopf", netfile=NET,
                     ctgcfile=CTG).validate()
+
+    def test_full_is_no_plan_structure(self):
+        """The CLI maps --structure full onto Monolithic."""
+        with pytest.raises(errors.InvalidPlan):
+            RunPlan(application="Sopf", netfile=NET, ctgcfile=CTG,
+                    scenfile=SCEN, structure="Full").validate()
 
     def test_loads_come_in_pairs(self):
         with pytest.raises(errors.InvalidPlan):
@@ -100,7 +119,7 @@ class TestMonolithic:
         assert report.stage_count() == 2
 
     @pytest.mark.parametrize("application,structure", [
-        ("Scopf", "Monolithic"), ("Sopf", "Flat"), ("Sopf", "Full")])
+        ("Scopf", "Monolithic"), ("Sopf", "Flat"), ("Sopf", "Monolithic")])
     def test_single_period_profile_sets_loads(self, tmp_path, application,
                                               structure):
         """A one-row load profile replaces the case loads in every stage,
@@ -163,6 +182,26 @@ class TestEmpar:
         assert anchored.status == "Optimal"
         assert anchored.total_objective >= plain.total_objective \
             - 1e-6 * abs(plain.total_objective)
+
+    def test_rejects_what_monolithic_rejects(self):
+        """A zero step between the profile's three periods is an invalid
+        plan for every structure, not a run of failed chains."""
+        for structure in ("Monolithic", "Empar"):
+            with pytest.raises(errors.InvalidPlan, match="dt_minutes"):
+                run(scopf_plan(structure=structure, workers=1, pload=PLOAD,
+                               qload=QLOAD, dt_minutes=0.0))
+
+    def test_worker_death_degrades(self, monkeypatch):
+        """A chain whose worker process dies is reported as Error stages
+        with a warning instead of aborting the run."""
+        monkeypatch.setattr(runner, "_chain_task", _die_on_generator_outage)
+        report = run(scopf_plan(structure="Empar", nc=2, workers=2))
+        assert report.status == "Degraded"
+        assert [s.contingency for s in report.stages] == [0, 1, 2]
+        assert report.stages[1].status == "Error"      # the GEN outage
+        assert report.stages[1].solution is None
+        assert all(s.status in ("Optimal", "Error") for s in report.stages)
+        assert any("cont_1" in w and "died" in w for w in report.warnings)
 
     def test_degraded_stage_reported(self):
         report = run(scopf_plan(structure="Empar", workers=1, max_iter=2))
