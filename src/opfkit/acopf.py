@@ -1,9 +1,11 @@
-"""AC optimal power flow in polar voltage coordinates.
+"""AC optimal power flow in polar voltage coordinates, over one or many
+stages at once.
 
-One stage = one NetworkCase turned into a smooth NLP:
+Each stage is one NetworkCase turned into a smooth NLP block:
 
     variables   VA, VM per active bus; PG, QG per in-service generator
-    objective   sum of polynomial generator costs ($/h)
+    objective   sum of polynomial generator costs ($/h), times the
+                stage weight
     equalities  per-bus active/reactive power balance
                 sum Pg - Pd/base - P_inj(V, theta) = 0 (Q likewise)
     inequalities |S_from|^2 and |S_to|^2 <= (rateA/base)^2 per rated
@@ -15,6 +17,15 @@ P_inj includes series branch flows, line charging, taps/shifts and the
 bus shunt (gs + j bs) scaled by |V|^2.  Gradient, Jacobian and
 Lagrangian Hessian are analytic; sparsity patterns are fixed at build
 time and only the numeric values change between evaluation points.
+
+One engine evaluates every stage of a composite in one vectorized
+pass.  It stacks the stages' bus, branch and generator arrays in stage
+order; stage k owns the variable block [VA, VM, PG, QG] at var_off[k],
+the balance rows [P, Q] at eq_off[k] and its flow-limit rows at
+ineq_off[k] of the inequality region, and linear coupling rows between
+stages follow the stage rows of their region.  `build_acopf` is the
+one-stage engine.  Only the objective is reduced stage by stage, so
+that each stage's cost is summed exactly as a lone stage's would be.
 
 Branch flow quantities use, with theta = theta_f - theta_t and
 admittance components yff = gff + j bff etc.:
@@ -71,109 +82,198 @@ class AcopfLayout:
     ref_buses: tuple[int, ...]
 
 
-class _Engine:
-    """Precomputed arrays and vectorized callbacks for one case."""
+class _Stage:
+    """Active buses and live generators and branches of one stage case."""
 
     def __init__(self, case: NetworkCase):
-        base = case.base_mva
         self.case = case
-        self.base = base
-
-        active = [i for i, b in enumerate(case.buses) if b.btype != ISOLATED]
-        slot = {pos: k for k, pos in enumerate(active)}
-        nb = len(active)
-        self.active, self.slot, self.nb = active, slot, nb
-
-        live_g = [j for j, g in enumerate(case.gens) if g.status != 0]
-        ng = len(live_g)
-        self.live_gens, self.ng = live_g, ng
-
-        live_b = []
+        self.active = [i for i, b in enumerate(case.buses)
+                       if b.btype != ISOLATED]
+        self.slot = {pos: k for k, pos in enumerate(self.active)}
+        self.live_gens = [j for j, g in enumerate(case.gens) if g.status != 0]
+        self.live_branches = []
         for k, br in enumerate(case.branches):
             if br.status == 0:
                 continue
             fp, tp = case.bus_pos[br.fbus], case.bus_pos[br.tbus]
-            if fp not in slot or tp not in slot:
+            if fp not in self.slot or tp not in self.slot:
                 raise Disconnected(
                     f"in-service branch {br.fbus}-{br.tbus} touches an "
                     f"isolated bus")
-            live_b.append(k)
-        nbr = len(live_b)
-        self.live_branches, self.nbr = live_b, nbr
+            self.live_branches.append(k)
+        self.rated = [i for i, k in enumerate(self.live_branches)
+                      if case.branches[k].rate_a > 0.0]
+        self.nb, self.ng = len(self.active), len(self.live_gens)
 
-        self.n = 2 * nb + 2 * ng
-        self.off_vm = nb
-        self.off_pg = 2 * nb
-        self.off_qg = 2 * nb + ng
+    def layout(self) -> AcopfLayout:
+        nb, ng = self.nb, self.ng
+        lb = self.live_branches
+        buses = self.case.buses
+        return AcopfLayout(
+            n_vars=2 * nb + 2 * ng, n_eq=2 * nb, n_ineq=2 * len(self.rated),
+            va=dict(self.slot), vm={p: k + nb for p, k in self.slot.items()},
+            pg={g: 2 * nb + j for j, g in enumerate(self.live_gens)},
+            qg={g: 2 * nb + ng + j for j, g in enumerate(self.live_gens)},
+            p_row=dict(self.slot),
+            q_row={p: k + nb for p, k in self.slot.items()},
+            sf_row={lb[i]: 2 * k for k, i in enumerate(self.rated)},
+            st_row={lb[i]: 2 * k + 1 for k, i in enumerate(self.rated)},
+            ref_buses=tuple(p for p in self.active
+                            if buses[p].btype == REF))
 
-        # bus data (active buses, per unit)
-        busv = [case.buses[p] for p in active]
-        self.pd = np.array([b.pd for b in busv]) / base
-        self.qd = np.array([b.qd for b in busv]) / base
-        self.gs = np.array([b.gs for b in busv]) / base
-        self.bs = np.array([b.bs for b in busv]) / base
 
-        # branch data
-        self.fo = np.array([slot[case.bus_pos[case.branches[k].fbus]]
-                            for k in live_b], dtype=np.intp)
-        self.to = np.array([slot[case.bus_pos[case.branches[k].tbus]]
-                            for k in live_b], dtype=np.intp)
-        y = [branch_admittance(case.branches[k]) for k in live_b]
-        self.gff = np.array([c[0].real for c in y])
-        self.bff = np.array([c[0].imag for c in y])
-        self.gft = np.array([c[1].real for c in y])
-        self.bft = np.array([c[1].imag for c in y])
-        self.gtf = np.array([c[2].real for c in y])
-        self.btf = np.array([c[2].imag for c in y])
-        self.gtt = np.array([c[3].real for c in y])
-        self.btt = np.array([c[3].imag for c in y])
+def _blocks(counts: list[int]):
+    """Stage offsets of stacked per-stage blocks, and each stacked
+    element's stage and position within its stage."""
+    counts = np.asarray(counts, dtype=np.intp)
+    start = np.cumsum(counts) - counts
+    stage = np.repeat(np.arange(counts.size), counts)
+    return start, stage, np.arange(stage.size) - start[stage]
 
-        rated = [i for i, k in enumerate(live_b)
-                 if case.branches[k].rate_a > 0.0]
+
+class _Engine:
+    """Stacked arrays and vectorized callbacks over a list of stage cases.
+
+    weights scale each stage's objective (all 1.0 by default).  `nlp`
+    adds the coupling rows, fixes the sparsity patterns and returns the
+    NLP over all stages.
+    """
+
+    def __init__(self, cases: list[NetworkCase],
+                 weights: tuple[float, ...] | None = None):
+        self.stages = [_Stage(c) for c in cases]
+        if weights is None:
+            weights = (1.0,) * len(cases)
+        pd, qd, gs, bs, xl, xu, x0 = [], [], [], [], [], [], []
+        fo, to, y, rated, smax2 = [], [], [], [], []
+        gslot, cost, gen_w = [], [], []
+        self.gen_blocks = []       # (generator slice, weight) per stage
+        nbus = nbr = ngen = 0
+        for st, w in zip(self.stages, weights):
+            case, base = st.case, st.case.base_mva
+            busv = [case.buses[p] for p in st.active]
+            gv = [case.gens[j] for j in st.live_gens]
+            brv = [case.branches[k] for k in st.live_branches]
+            pd += [b.pd / base for b in busv]
+            qd += [b.qd / base for b in busv]
+            gs += [b.gs / base for b in busv]
+            bs += [b.bs / base for b in busv]
+            fo += [nbus + st.slot[case.bus_pos[br.fbus]] for br in brv]
+            to += [nbus + st.slot[case.bus_pos[br.tbus]] for br in brv]
+            y += [branch_admittance(br) for br in brv]
+            rated += [nbr + i for i in st.rated]
+            smax2 += [(brv[i].rate_a / base) ** 2 for i in st.rated]
+            gslot += [nbus + st.slot[case.bus_pos[g.bus]] for g in gv]
+            cost += [(g.cost.c2 * base * base, g.cost.c1 * base, g.cost.c0)
+                     for g in gv]
+            gen_w += [w] * st.ng
+            self.gen_blocks.append((slice(ngen, ngen + st.ng), w))
+            # variable block [VA, VM, PG, QG]; reference angles pinned
+            xl += ([b.va if b.btype == REF else -math.inf for b in busv]
+                   + [b.vmin for b in busv] + [g.pmin / base for g in gv]
+                   + [g.qmin / base for g in gv])
+            xu += ([b.va if b.btype == REF else math.inf for b in busv]
+                   + [b.vmax for b in busv] + [g.pmax / base for g in gv]
+                   + [g.qmax / base for g in gv])
+            x0 += ([b.va for b in busv]
+                   + [min(max(b.vm, b.vmin), b.vmax) for b in busv]
+                   + [0.5 * (g.pmin + g.pmax) / base for g in gv]
+                   + [0.5 * (g.qmin + g.qmax) / base for g in gv])
+            nbus, nbr, ngen = nbus + st.nb, nbr + len(brv), ngen + st.ng
+        self.nb, self.nbr, self.ng = nbus, nbr, ngen
+
+        self.pd, self.qd = np.array(pd), np.array(qd)
+        self.gs, self.bs = np.array(gs), np.array(bs)
+        self.fo = np.array(fo, dtype=np.intp)
+        self.to = np.array(to, dtype=np.intp)
+        y = np.array(y, dtype=complex).reshape(-1, 4)
+        self.gff, self.bff = y[:, 0].real.copy(), y[:, 0].imag.copy()
+        self.gft, self.bft = y[:, 1].real.copy(), y[:, 1].imag.copy()
+        self.gtf, self.btf = y[:, 2].real.copy(), y[:, 2].imag.copy()
+        self.gtt, self.btt = y[:, 3].real.copy(), y[:, 3].imag.copy()
         self.rated = np.array(rated, dtype=np.intp)
-        self.nr = len(rated)
-        self.smax2 = np.array(
-            [(case.branches[live_b[i]].rate_a / base) ** 2 for i in rated])
+        self.smax2 = np.array(smax2, dtype=float)
+        self.gslot = np.array(gslot, dtype=np.intp)
+        cost = np.array(cost, dtype=float).reshape(-1, 3)
+        self.cost_a, self.cost_b = cost[:, 0].copy(), cost[:, 1].copy()
+        self.cost_c = cost[:, 2].copy()
+        self.gen_w = np.array(gen_w, dtype=float)
+        self.xl, self.xu, self.x0 = np.array(xl), np.array(xu), np.array(x0)
 
-        # generator data (live, per unit)
-        gv = [case.gens[j] for j in live_g]
-        self.gslot = np.array([slot[case.bus_pos[g.bus]] for g in gv],
-                              dtype=np.intp)
-        self.cost_a = np.array([g.cost.c2 for g in gv]) * base * base
-        self.cost_b = np.array([g.cost.c1 for g in gv]) * base
-        self.cost_c = np.array([g.cost.c0 for g in gv])
+        # stage offsets, and every bus's and unit's place in the NLP
+        nb = np.array([st.nb for st in self.stages], dtype=np.intp)
+        ng = np.array([st.ng for st in self.stages], dtype=np.intp)
+        self.var_off, _, _ = _blocks(2 * nb + 2 * ng)
+        bus_off, bstage, bk = _blocks(nb)
+        self.eq_off = 2 * bus_off
+        self.ineq_off = 2 * _blocks([len(st.rated) for st in self.stages])[0]
+        _, gstage, gk = _blocks(ng)
+        self.n = self.x0.size
+        self.va_col = self.var_off[bstage] + bk
+        self.vm_col = self.va_col + nb[bstage]
+        self.p_row = self.eq_off[bstage] + bk
+        self.q_row = self.p_row + nb[bstage]
+        self.pg_col = self.var_off[gstage] + 2 * nb[gstage] + gk
+        self.qg_col = self.pg_col + ng[gstage]
 
-        self.m_eq = 2 * nb
-        self.m_ineq = 2 * self.nr
+    # --- the NLP ---------------------------------------------------------
+
+    def nlp(self, name: str, links=(), n_pins: int = 0,
+            bounds=()) -> NlpProblem:
+        """The NLP over all stages plus one linear row x[a] - x[b] per
+        (a, b) in links: the first n_pins are equalities after the stage
+        equalities, the rest lie within -bound..bound after the stage
+        inequalities.  `link_rows` then holds each link's row.
+
+        Raises Disconnected when a stage's in-service network is not a
+        single connected component.
+        """
+        for st in self.stages:
+            n_islands, _ = check_connectivity(st.case)
+            if n_islands != 1:
+                raise Disconnected(
+                    f"case {st.case.name!r} has {n_islands} islands")
+        self.links = np.array(links, dtype=np.intp).reshape(-1, 2)
+        bounds = np.array(bounds, dtype=float)
+        me_stage, mi_stage = 2 * self.nb, 2 * self.rated.size
+        self.m_eq = me_stage + n_pins
+        self.m_ineq = mi_stage + bounds.size
+        self.link_rows = np.concatenate([
+            me_stage + np.arange(n_pins),
+            self.m_eq + mi_stage + np.arange(bounds.size)])
+        self.link_vals = np.tile([1.0, -1.0], len(self.links))
+        self.sf_row = self.m_eq + 2 * np.arange(self.rated.size)
         self._build_patterns()
-        self._build_bounds()
-
-    # --- construction helpers -------------------------------------------
+        return NlpProblem(
+            n=self.n, m_eq=self.m_eq, m_ineq=self.m_ineq, xl=self.xl.copy(),
+            xu=self.xu.copy(),
+            gl=np.concatenate([np.full(mi_stage, -np.inf), -bounds]),
+            gu=np.concatenate([np.repeat(self.smax2, 2), bounds]),
+            x0=self.x0.copy(), objective=self.objective,
+            gradient=self.gradient, constraints=self.constraints,
+            jacobian=self.jacobian, lagrangian_hessian=self.lagrangian_hessian,
+            name=name)
 
     def _build_patterns(self) -> None:
-        nb, nbr, nr, ng = self.nb, self.nbr, self.nr, self.ng
-        vaf, vat = self.fo, self.to
-        vmf, vmt = self.fo + nb, self.to + nb
-        self.axis_cols = (vaf, vat, vmf, vmt)
-        prow_f, prow_t = self.fo, self.to
-        qrow_f, qrow_t = self.fo + nb, self.to + nb
-        self.flow_rows = (prow_f, prow_t, qrow_f, qrow_t)
+        self.axis_cols = (self.va_col[self.fo], self.va_col[self.to],
+                          self.vm_col[self.fo], self.vm_col[self.to])
+        self.flow_rows = (self.p_row[self.fo], self.p_row[self.to],
+                          self.q_row[self.fo], self.q_row[self.to])
+        quad = np.stack(self.axis_cols, axis=1)
 
         # Jacobian: per live branch the four flow quantities each hit
-        # one balance row in four columns; then shunts, gens, flow rows.
-        jr = [np.repeat(r, 4) for r in self.flow_rows]
-        jc = [np.concatenate([c[None, :] for c in self.axis_cols]
-                             ).T.ravel()] * 4
-        rows = jr + [np.arange(nb), np.arange(nb) + nb]            # shunts
-        cols = jc + [np.arange(nb) + nb, np.arange(nb) + nb]
-        rows += [self.gslot, self.gslot + nb]                      # gens
-        cols += [np.arange(ng) + self.off_pg, np.arange(ng) + self.off_qg]
-        if nr:
-            sfr = self.m_eq + 2 * np.arange(nr)
-            rows += [np.repeat(sfr, 4), np.repeat(sfr + 1, 4)]
-            rc = [c[self.rated] for c in self.axis_cols]
-            rcols = np.concatenate([c[None, :] for c in rc]).T.ravel()
-            cols += [rcols, rcols]
+        # one balance row in four columns; then shunts, gens, flow rows
+        # and the coupling rows.
+        rows = [np.repeat(r, 4) for r in self.flow_rows]
+        cols = [quad.ravel()] * 4
+        rows += [self.p_row, self.q_row]                            # shunts
+        cols += [self.vm_col, self.vm_col]
+        rows += [self.p_row[self.gslot], self.q_row[self.gslot]]    # gens
+        cols += [self.pg_col, self.qg_col]
+        rows += [np.repeat(self.sf_row, 4), np.repeat(self.sf_row + 1, 4)]
+        cols += [quad[self.rated].ravel()] * 2
+        rows.append(np.repeat(self.link_rows, 2))
+        cols.append(self.links.ravel())
         self.jac_rows = np.concatenate(rows)
         self.jac_cols = np.concatenate(cols)
 
@@ -187,45 +287,12 @@ class _Engine:
             if a != b:
                 hr.append(ib)
                 hc.append(ia)
-        hr.append(np.arange(nb) + nb)          # shunt d2/dVm2
-        hc.append(np.arange(nb) + nb)
-        hr.append(np.arange(ng) + self.off_pg)  # objective d2/dPg2
-        hc.append(np.arange(ng) + self.off_pg)
+        hr += [self.vm_col, self.pg_col]
+        hc += [self.vm_col, self.pg_col]
         self.hess_rows = np.concatenate(hr)
         self.hess_cols = np.concatenate(hc)
 
-    def _build_bounds(self) -> None:
-        case, base = self.case, self.base
-        nb, ng = self.nb, self.ng
-        xl = np.full(self.n, -np.inf)
-        xu = np.full(self.n, np.inf)
-        x0 = np.zeros(self.n)
-        refs = []
-        for k, pos in enumerate(self.active):
-            b = case.buses[pos]
-            x0[k] = b.va
-            xl[nb + k], xu[nb + k] = b.vmin, b.vmax
-            x0[nb + k] = min(max(b.vm, b.vmin), b.vmax)
-            if b.btype == REF:
-                xl[k] = xu[k] = b.va
-                refs.append(pos)
-        for j, gpos in enumerate(self.live_gens):
-            g = case.gens[gpos]
-            xl[self.off_pg + j] = g.pmin / base
-            xu[self.off_pg + j] = g.pmax / base
-            x0[self.off_pg + j] = 0.5 * (g.pmin + g.pmax) / base
-            xl[self.off_qg + j] = g.qmin / base
-            xu[self.off_qg + j] = g.qmax / base
-            x0[self.off_qg + j] = 0.5 * (g.qmin + g.qmax) / base
-        self.xl, self.xu, self.x0 = xl, xu, x0
-        self.ref_positions = tuple(refs)
-
     # --- evaluation ------------------------------------------------------
-
-    def split(self, x: np.ndarray):
-        nb, ng = self.nb, self.ng
-        return (x[:nb], x[nb:2 * nb], x[self.off_pg:self.off_pg + ng],
-                x[self.off_qg:self.off_qg + ng])
 
     def first_order(self, va: np.ndarray, vm: np.ndarray):
         """Flow values and their gradients over (tf, tt, vf, vt)."""
@@ -264,47 +331,48 @@ class _Engine:
         return p, q, fo
 
     def objective(self, x: np.ndarray) -> float:
-        pg = x[self.off_pg:self.off_pg + self.ng]
-        return float(np.sum((self.cost_a * pg + self.cost_b) * pg
-                            + self.cost_c))
+        pg = x[self.pg_col]
+        cost = (self.cost_a * pg + self.cost_b) * pg + self.cost_c
+        # np.sum's reduction, stage by stage: the same pairwise sums as
+        # a lone stage's
+        return float(sum(w * np.add.reduce(cost[s])
+                         for s, w in self.gen_blocks))
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         g = np.zeros(self.n)
-        pg = x[self.off_pg:self.off_pg + self.ng]
-        g[self.off_pg:self.off_pg + self.ng] = 2 * self.cost_a * pg + self.cost_b
+        pg = x[self.pg_col]
+        g[self.pg_col] = self.gen_w * (2 * self.cost_a * pg + self.cost_b)
         return g
 
     def constraints(self, x: np.ndarray) -> np.ndarray:
-        va, vm, pgv, qgv = self.split(x)
-        p, q, fo = self.injections(va, vm)
+        p, q, fo = self.injections(x[self.va_col], x[self.vm_col])
         cp = -(self.pd + p)
         cq = -(self.qd + q)
-        np.add.at(cp, self.gslot, pgv)
-        np.add.at(cq, self.gslot, qgv)
-        out = np.empty(self.m_ineq)
+        np.add.at(cp, self.gslot, x[self.pg_col])
+        np.add.at(cq, self.gslot, x[self.qg_col])
+        out = np.empty(self.m_eq + self.m_ineq)
+        out[self.p_row] = cp
+        out[self.q_row] = cq
         r = self.rated
-        out[0::2] = fo["pf"][r] ** 2 + fo["qf"][r] ** 2
-        out[1::2] = fo["pt"][r] ** 2 + fo["qt"][r] ** 2
-        return np.concatenate([cp, cq, out])
+        out[self.sf_row] = fo["pf"][r] ** 2 + fo["qf"][r] ** 2
+        out[self.sf_row + 1] = fo["pt"][r] ** 2 + fo["qt"][r] ** 2
+        out[self.link_rows] = x[self.links[:, 0]] - x[self.links[:, 1]]
+        return out
 
     def jacobian(self, x: np.ndarray) -> sp.csr_matrix:
-        va, vm, _, _ = self.split(x)
-        fo = self.first_order(va, vm)
+        vm = x[self.vm_col]
+        fo = self.first_order(x[self.va_col], vm)
         parts = [np.stack(fo[k], axis=1).ravel()
                  for k in ("gpf", "gpt", "gqf", "gqt")]
-        data = [-np.concatenate(parts)]                      # balance rows
-        data.append(-2 * self.gs * vm)                       # shunts
-        data.append(2 * self.bs * vm)
-        data.append(np.ones(self.ng))                        # gen columns
-        data.append(np.ones(self.ng))
-        if self.nr:
-            r = self.rated
-            dsf = sum(2 * fo[vk][r, None] * np.stack(fo[gk], axis=1)[r]
-                      for vk, gk in (("pf", "gpf"), ("qf", "gqf")))
-            dst = sum(2 * fo[vk][r, None] * np.stack(fo[gk], axis=1)[r]
-                      for vk, gk in (("pt", "gpt"), ("qt", "gqt")))
-            data.append(dsf.ravel())
-            data.append(dst.ravel())
+        r = self.rated
+        dsf = sum(2 * fo[vk][r, None] * np.stack(fo[gk], axis=1)[r]
+                  for vk, gk in (("pf", "gpf"), ("qf", "gqf")))
+        dst = sum(2 * fo[vk][r, None] * np.stack(fo[gk], axis=1)[r]
+                  for vk, gk in (("pt", "gpt"), ("qt", "gqt")))
+        data = [-np.concatenate(parts),                      # balance rows
+                -2 * self.gs * vm, 2 * self.bs * vm,         # shunts
+                np.ones(self.ng), np.ones(self.ng),          # gen columns
+                dsf.ravel(), dst.ravel(), self.link_vals]
         mat = sp.coo_matrix(
             (np.concatenate(data), (self.jac_rows, self.jac_cols)),
             shape=(self.m_eq + self.m_ineq, self.n))
@@ -330,20 +398,14 @@ class _Engine:
 
     def lagrangian_hessian(self, x: np.ndarray, obj_factor: float,
                            mult: np.ndarray) -> sp.csr_matrix:
-        va, vm, _, _ = self.split(x)
-        fo = self.first_order(va, vm)
+        fo = self.first_order(x[self.va_col], x[self.vm_col])
         hpf, hqf, hpt, hqt = self._flow_hessians(fo)
 
-        prow_f, prow_t, qrow_f, qrow_t = self.flow_rows
-        lam_pf = -mult[prow_f]
-        lam_pt = -mult[prow_t]
-        lam_qf = -mult[qrow_f]
-        lam_qt = -mult[qrow_t]
+        lam_pf, lam_pt, lam_qf, lam_qt = (-mult[r] for r in self.flow_rows)
         sf = np.zeros(self.nbr)
         st = np.zeros(self.nbr)
-        if self.nr:
-            sf[self.rated] = mult[self.m_eq + 2 * np.arange(self.nr)]
-            st[self.rated] = mult[self.m_eq + 2 * np.arange(self.nr) + 1]
+        sf[self.rated] = mult[self.sf_row]
+        st[self.rated] = mult[self.sf_row + 1]
 
         c_pf = lam_pf + 2 * sf * fo["pf"]
         c_qf = lam_qf + 2 * sf * fo["qf"]
@@ -361,32 +423,14 @@ class _Engine:
             vals.append(v)
             if a != b:
                 vals.append(v)
-        lam_p_bus = -mult[:self.nb]
-        lam_q_bus = -mult[self.nb:2 * self.nb]
+        lam_p_bus = -mult[self.p_row]
+        lam_q_bus = -mult[self.q_row]
         vals.append(2 * (lam_p_bus * self.gs - lam_q_bus * self.bs))
-        pgd = np.full(self.ng, 0.0)
-        pgd += 2 * obj_factor * self.cost_a
-        vals.append(pgd)
+        vals.append(2 * (obj_factor * self.gen_w) * self.cost_a)
         mat = sp.coo_matrix(
             (np.concatenate(vals), (self.hess_rows, self.hess_cols)),
             shape=(self.n, self.n))
         return mat.tocsr()
-
-
-def _make_layout(e: _Engine) -> AcopfLayout:
-    nb = e.nb
-    va = {pos: e.slot[pos] for pos in e.active}
-    vm = {pos: e.slot[pos] + nb for pos in e.active}
-    pg = {gpos: e.off_pg + j for j, gpos in enumerate(e.live_gens)}
-    qg = {gpos: e.off_qg + j for j, gpos in enumerate(e.live_gens)}
-    p_row = {pos: e.slot[pos] for pos in e.active}
-    q_row = {pos: e.slot[pos] + nb for pos in e.active}
-    sf_row = {e.live_branches[i]: 2 * k for k, i in enumerate(e.rated)}
-    st_row = {e.live_branches[i]: 2 * k + 1 for k, i in enumerate(e.rated)}
-    return AcopfLayout(n_vars=e.n, n_eq=e.m_eq, n_ineq=e.m_ineq, va=va,
-                       vm=vm, pg=pg, qg=qg, p_row=p_row, q_row=q_row,
-                       sf_row=sf_row, st_row=st_row,
-                       ref_buses=e.ref_positions)
 
 
 def build_acopf(case: NetworkCase):
@@ -395,19 +439,8 @@ def build_acopf(case: NetworkCase):
     Raises Disconnected when the in-service network is not a single
     connected component (NoReferenceBus is already enforced on parse).
     """
-    n_islands, _ = check_connectivity(case)
-    if n_islands != 1:
-        raise Disconnected(f"case {case.name!r} has {n_islands} islands")
-    e = _Engine(case)
-    layout = _make_layout(e)
-    gl = np.full(e.m_ineq, -np.inf)
-    gu = np.repeat(e.smax2, 2) if e.nr else np.zeros(0)
-    problem = NlpProblem(
-        n=e.n, m_eq=e.m_eq, m_ineq=e.m_ineq, xl=e.xl.copy(), xu=e.xu.copy(),
-        gl=gl, gu=gu, x0=e.x0.copy(), objective=e.objective,
-        gradient=e.gradient, constraints=e.constraints, jacobian=e.jacobian,
-        lagrangian_hessian=e.lagrangian_hessian, name=f"acopf:{case.name}")
-    return problem, layout
+    e = _Engine([case])
+    return e.nlp(f"acopf:{case.name}"), e.stages[0].layout()
 
 
 @dataclass(frozen=True)
@@ -446,21 +479,21 @@ class SolvedCase:
                                 branch=branch, gencost=base.gencost)
 
 
-def _branch_flows_mw(e: _Engine, va: np.ndarray, vm: np.ndarray):
-    nbrs = len(e.case.branches)
+def _branch_flows_mw(case: NetworkCase, va: np.ndarray, vm: np.ndarray):
+    nbrs = len(case.branches)
     pf = np.zeros(nbrs)
     qf = np.zeros(nbrs)
     pt = np.zeros(nbrs)
     qt = np.zeros(nbrs)
+    e = _Engine([case])
+    st = e.stages[0]
     if e.nbr:
-        va_s = np.array([va[pos] for pos in e.active])
-        vm_s = np.array([vm[pos] for pos in e.active])
-        fo = e.first_order(va_s, vm_s)
-        live = np.array(e.live_branches, dtype=np.intp)
-        pf[live] = fo["pf"] * e.base
-        qf[live] = fo["qf"] * e.base
-        pt[live] = fo["pt"] * e.base
-        qt[live] = fo["qt"] * e.base
+        fo = e.first_order(va[st.active], vm[st.active])
+        live = np.array(st.live_branches, dtype=np.intp)
+        pf[live] = fo["pf"] * case.base_mva
+        qf[live] = fo["qf"] * case.base_mva
+        pt[live] = fo["pt"] * case.base_mva
+        qt[live] = fo["qt"] * case.base_mva
     return pf, qf, pt, qt
 
 
@@ -470,7 +503,6 @@ def extract_solution(case: NetworkCase, layout: AcopfLayout,
     if x.shape != (layout.n_vars,):
         raise DimensionMismatch(
             f"x has shape {x.shape}, layout expects ({layout.n_vars},)")
-    e = _Engine(case)
     nb_all, ng_all = len(case.buses), len(case.gens)
     vm = np.zeros(nb_all)
     va = np.zeros(nb_all)
@@ -482,7 +514,7 @@ def extract_solution(case: NetworkCase, layout: AcopfLayout,
     for gpos, idx in layout.pg.items():
         pg[gpos] = x[idx] * case.base_mva
         qg[gpos] = x[layout.qg[gpos]] * case.base_mva
-    pfl, qfl, ptl, qtl = _branch_flows_mw(e, va, vm)
+    pfl, qfl, ptl, qtl = _branch_flows_mw(case, va, vm)
     obj = float(sum(case.gens[gpos].cost.at(pg[gpos]) for gpos in layout.pg))
     return SolvedCase(case=case, vm=vm, va=va, pg=pg, qg=qg, pf=pfl, qf=qfl,
                       pt=ptl, qt=qtl, objective=obj)
@@ -503,12 +535,11 @@ def pack_solution(case: NetworkCase, layout: AcopfLayout,
 
 def solution_from_case(case: NetworkCase) -> SolvedCase:
     """Treat the case's stored voltages and dispatch as a solution."""
-    e = _Engine(case)
     vm = np.array([b.vm for b in case.buses])
     va = np.array([b.va for b in case.buses])
     pg = np.array([g.pg if g.status else 0.0 for g in case.gens])
     qg = np.array([g.qg if g.status else 0.0 for g in case.gens])
-    pfl, qfl, ptl, qtl = _branch_flows_mw(e, va, vm)
+    pfl, qfl, ptl, qtl = _branch_flows_mw(case, va, vm)
     obj = float(sum(g.cost.at(pg[j]) for j, g in enumerate(case.gens)
                     if g.status))
     return SolvedCase(case=case, vm=vm, va=va, pg=pg, qg=qg, pf=pfl, qf=qfl,
@@ -524,23 +555,21 @@ def residuals_at(case: NetworkCase, sol: SolvedCase):
     for attr, count in (("vm", len(case.buses)), ("pg", len(case.gens))):
         if getattr(sol, attr).shape != (count,):
             raise DimensionMismatch(f"solution {attr} has wrong length")
-    e = _Engine(case)
-    va_s = np.array([sol.va[pos] for pos in e.active])
-    vm_s = np.array([sol.vm[pos] for pos in e.active])
-    p, q, _ = e.injections(va_s, vm_s)
-    dp_s = -p * e.base
-    dq_s = -q * e.base
-    for k, pos in enumerate(e.active):
+    e = _Engine([case])
+    st = e.stages[0]
+    p, q, _ = e.injections(sol.va[st.active], sol.vm[st.active])
+    dp_s = -p * case.base_mva
+    dq_s = -q * case.base_mva
+    for k, pos in enumerate(st.active):
         b = case.buses[pos]
         dp_s[k] -= b.pd
         dq_s[k] -= b.qd
-    for j in e.live_gens:
-        k = e.slot[case.bus_pos[case.gens[j].bus]]
+    for j in st.live_gens:
+        k = st.slot[case.bus_pos[case.gens[j].bus]]
         dp_s[k] += sol.pg[j]
         dq_s[k] += sol.qg[j]
     dp = np.zeros(len(case.buses))
     dq = np.zeros(len(case.buses))
-    for k, pos in enumerate(e.active):
-        dp[pos] = dp_s[k]
-        dq[pos] = dq_s[k]
+    dp[st.active] = dp_s
+    dq[st.active] = dq_s
     return dp, dq

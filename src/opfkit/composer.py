@@ -24,16 +24,18 @@ stage inequalities..., boxes]; coupling rows always read
 child - base, so the Jacobian entries are +1 on the later stage and -1
 on the earlier one.  Scenario weights are normalized to sum to one and
 scale both the stage objectives and their Hessian blocks.
+
+A composite is not a loop over stage problems: one ACOPF engine
+(`acopf._Engine`) spans every stage of the lattice and the coupling
+rows, so each callback is one vectorized pass.  Stage variables stay
+stage-major, and the CompositeIndexMap locates each stage's block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-import scipy.sparse as sp
-
-from .acopf import AcopfLayout, build_acopf
+from .acopf import AcopfLayout, _Engine
 from .errors import EmptyScenarioSet, InvalidPlan, TopologyMismatch
 from .inputs import ContingencySet, ScenarioSet
 from .network import (
@@ -241,127 +243,30 @@ class _Builder:
                                              None, bp, 0.0, -1, True))
 
     def assemble(self) -> tuple[NlpProblem, CompositeIndexMap]:
-        specs = self.specs
-        built = [build_acopf(s.case) for s in specs]
-        probs = [b[0] for b in built]
-        layouts = [b[1] for b in built]
-        ns = len(specs)
-
-        var_off = np.zeros(ns, dtype=int)
-        eq_off = np.zeros(ns, dtype=int)
-        ineq_off = np.zeros(ns, dtype=int)
-        for k in range(1, ns):
-            var_off[k] = var_off[k - 1] + probs[k - 1].n
-            eq_off[k] = eq_off[k - 1] + probs[k - 1].m_eq
-            ineq_off[k] = ineq_off[k - 1] + probs[k - 1].m_ineq
-        nv = int(var_off[-1] + probs[-1].n)
-        me_stage = int(eq_off[-1] + probs[-1].m_eq)
-        mi_stage = int(ineq_off[-1] + probs[-1].m_ineq)
-
+        engine = _Engine([s.case for s in self.specs], self.weights)
+        layouts = tuple(st.layout() for st in engine.stages)
         pins = [r for r in self.rows if r.is_equality]
         boxes = [r for r in self.rows if not r.is_equality]
-        m_eq = me_stage + len(pins)
-        m_ineq = mi_stage + len(boxes)
 
         def var_of(r: CouplingRow, stage: int) -> int:
             lay = layouts[stage]
             pos = lay.pg[r.gen] if r.gen is not None else lay.vm[r.bus]
-            return int(var_off[stage] + pos)
+            return int(engine.var_off[stage] + pos)
 
-        coupling: list[CouplingRow] = []
-        c_rows, c_cols, c_vals = [], [], []
-        for i, r in enumerate(pins + boxes):
-            row = me_stage + i if r.is_equality else m_eq + mi_stage + (
-                i - len(pins))
-            va, vb = var_of(r, r.stage_a), var_of(r, r.stage_b)
-            coupling.append(replace(r, row=row))
-            c_rows += [row, row]
-            c_cols += [va, vb]
-            c_vals += [1.0, -1.0]
-        c_rows = np.asarray(c_rows, dtype=int)
-        c_cols = np.asarray(c_cols, dtype=int)
-        c_vals = np.asarray(c_vals)
-
-        w = np.asarray(self.weights)
-        xl = np.concatenate([p.xl for p in probs])
-        xu = np.concatenate([p.xu for p in probs])
-        x0 = np.concatenate([p.x0 for p in probs])
-        gl = np.concatenate([p.gl for p in probs]
-                            + [np.array([-r.bound for r in boxes])])
-        gu = np.concatenate([p.gu for p in probs]
-                            + [np.array([r.bound for r in boxes])])
-
-        slices = [(int(var_off[k]), int(var_off[k]) + probs[k].n)
-                  for k in range(ns)]
-
-        def objective(x: np.ndarray) -> float:
-            return float(sum(w[k] * probs[k].objective(x[a:b])
-                             for k, (a, b) in enumerate(slices)))
-
-        def gradient(x: np.ndarray) -> np.ndarray:
-            out = np.zeros(nv)
-            for k, (a, b) in enumerate(slices):
-                out[a:b] = w[k] * probs[k].gradient(x[a:b])
-            return out
-
-        def constraints(x: np.ndarray) -> np.ndarray:
-            out = np.zeros(m_eq + m_ineq)
-            for k, (a, b) in enumerate(slices):
-                c = probs[k].constraints(x[a:b])
-                mk = probs[k].m_eq
-                out[eq_off[k]:eq_off[k] + mk] = c[:mk]
-                start = m_eq + ineq_off[k]
-                out[start:start + probs[k].m_ineq] = c[mk:]
-            if coupling:
-                vals = x[c_cols[0::2]] - x[c_cols[1::2]]
-                out[c_rows[0::2]] = vals
-            return out
-
-        def jacobian(x: np.ndarray) -> sp.csr_matrix:
-            rows_l, cols_l, vals_l = [c_rows], [c_cols], [c_vals]
-            for k, (a, b) in enumerate(slices):
-                jk = probs[k].jacobian(x[a:b]).tocoo()
-                mk = probs[k].m_eq
-                in_eq = jk.row < mk
-                grow = np.where(in_eq, eq_off[k] + jk.row,
-                                m_eq + ineq_off[k] + (jk.row - mk))
-                rows_l.append(grow)
-                cols_l.append(a + jk.col)
-                vals_l.append(jk.data)
-            return sp.csr_matrix(
-                (np.concatenate(vals_l),
-                 (np.concatenate(rows_l), np.concatenate(cols_l))),
-                shape=(m_eq + m_ineq, nv))
-
-        def lagrangian_hessian(x: np.ndarray, obj_factor: float,
-                               mult: np.ndarray) -> sp.csr_matrix:
-            rows_l, cols_l, vals_l = [], [], []
-            for k, (a, b) in enumerate(slices):
-                mk, ik = probs[k].m_eq, probs[k].m_ineq
-                mult_k = np.concatenate([
-                    mult[eq_off[k]:eq_off[k] + mk],
-                    mult[m_eq + ineq_off[k]:m_eq + ineq_off[k] + ik]])
-                hk = probs[k].lagrangian_hessian(
-                    x[a:b], obj_factor * w[k], mult_k).tocoo()
-                rows_l.append(a + hk.row)
-                cols_l.append(a + hk.col)
-                vals_l.append(hk.data)
-            return sp.csr_matrix(
-                (np.concatenate(vals_l),
-                 (np.concatenate(rows_l), np.concatenate(cols_l))),
-                shape=(nv, nv))
-
-        problem = NlpProblem(
-            n=nv, m_eq=m_eq, m_ineq=m_ineq, xl=xl, xu=xu, gl=gl, gu=gu,
-            x0=x0, objective=objective, gradient=gradient,
-            constraints=constraints, jacobian=jacobian,
-            lagrangian_hessian=lagrangian_hessian, name=self.name)
+        problem = engine.nlp(
+            self.name, [(var_of(r, r.stage_a), var_of(r, r.stage_b))
+                        for r in pins + boxes],
+            len(pins), [r.bound for r in boxes])
+        coupling = tuple(replace(r, row=int(row))
+                         for r, row in zip(pins + boxes, engine.link_rows))
         index = CompositeIndexMap(
-            stages=tuple(specs), var_offset=tuple(int(v) for v in var_off),
-            eq_offset=tuple(int(v) for v in eq_off),
-            ineq_offset=tuple(int(v) for v in ineq_off),
-            coupling_rows=tuple(coupling), weights=tuple(float(v) for v in w),
-            layouts=tuple(layouts), n_vars=nv, m_eq=m_eq, m_ineq=m_ineq)
+            stages=tuple(self.specs),
+            var_offset=tuple(int(v) for v in engine.var_off),
+            eq_offset=tuple(int(v) for v in engine.eq_off),
+            ineq_offset=tuple(int(v) for v in engine.ineq_off),
+            coupling_rows=coupling, weights=tuple(self.weights),
+            layouts=layouts, n_vars=problem.n, m_eq=problem.m_eq,
+            m_ineq=problem.m_ineq)
         return problem, index
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
@@ -260,8 +261,10 @@ def _chain_task(payload):
         problem, imap = compose_multiperiod(list(cases), dt_minutes)
         result = solve(problem, SolverOptions(tol=tol, max_iter=max_iter))
         return result, _stage_solutions(imap, result.x), ""
-    except errors.OpfkitError as exc:
-        return None, [], f"{type(exc).__name__}: {exc}"
+    except Exception as exc:    # one failed chain must not abort the run
+        trace = ("" if isinstance(exc, errors.OpfkitError)
+                 else "\n" + traceback.format_exc())
+        return None, [], f"{type(exc).__name__}: {exc}{trace}"
 
 
 def _outcome(future):
@@ -297,10 +300,12 @@ def run_empar(plan: RunPlan) -> RunReport:
         anchor = _stage_solutions(imap, res0.x)[0]
 
     chains = []     # (scenario_idx, ctg_id, weight, cases)
-    for (s_idx, _), ks in lattice.chains().items():
+    for (s_idx, c_idx), ks in lattice.chains().items():
         first = lattice.stages[ks[0]]
         cases = [lattice.stages[k].case for k in ks]
-        if anchor is not None and (first.scenario or first.contingency):
+        # the base chain stays free, like the global base stage of a
+        # monolithic run
+        if anchor is not None and (s_idx, c_idx) != (0, 0):
             scale = (plan.mode.contingency_scale if first.contingency
                      else plan.mode.scenario_scale)
             cases = [_anchored(c, anchor, scale) for c in cases]

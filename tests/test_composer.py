@@ -1,17 +1,21 @@
 """Composite builders: stage lattices, coupling rows, reduction laws."""
 
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opfkit import (
     CouplingMode,
     SolverOptions,
+    build_acopf,
     build_lattice,
+    check_derivatives,
     compose_general,
     compose_multiperiod,
     compose_multiperiod_scopf,
@@ -27,6 +31,8 @@ from opfkit import (
 from opfkit.composer import CONTINGENCY_BOX, PREVENTIVE_PIN, RAMP, SCENARIO_BOX
 from opfkit.inputs import ContingencySet, ScenarioSet
 
+from util import interior_points
+
 CORR = CouplingMode(kind="corrective")
 PREV = CouplingMode(kind="preventive")
 
@@ -34,6 +40,88 @@ PREV = CouplingMode(kind="preventive")
 def stage_x(imap, x, k):
     lo = imap.var_offset[k]
     return x[lo:lo + imap.layouts[k].n_vars]
+
+
+def load_steps(case, nt):
+    """nt periods of the case with loads scaled by 1, 1.03, 1.06, ..."""
+    return [replace(case, buses=tuple(
+        replace(b, pd=b.pd * (1 + 0.03 * t), qd=b.qd * (1 + 0.03 * t))
+        for b in case.buses)) for t in range(nt)]
+
+
+def stacked_reference(imap, x, sigma, mult):
+    """Objective, gradient, constraints, Jacobian and Hessian of a
+    composite at x, stacked by hand from each stage's own build_acopf
+    callbacks at the CompositeIndexMap's offsets and weights."""
+    n, m = imap.n_vars, imap.m_eq + imap.m_ineq
+    obj, grad, cons = 0, np.zeros(n), np.zeros(m)
+    jac = ([], [], [])
+    hess = ([], [], [])
+    for k, stage in enumerate(imap.stages):
+        p, _ = build_acopf(stage.case)
+        w, a = imap.weights[k], imap.var_offset[k]
+        xk = x[a:a + p.n]
+        rows = np.concatenate([
+            imap.eq_offset[k] + np.arange(p.m_eq),
+            imap.m_eq + imap.ineq_offset[k] + np.arange(p.m_ineq)])
+        obj += w * p.objective(xk)
+        grad[a:a + p.n] = w * p.gradient(xk)
+        cons[rows] = p.constraints(xk)
+        for out, mat, rmap in (
+                (jac, p.jacobian(xk), rows),
+                (hess, p.lagrangian_hessian(xk, sigma * w, mult[rows]),
+                 a + np.arange(p.n))):
+            mat = mat.tocoo()
+            out[0].append(rmap[mat.row])
+            out[1].append(a + mat.col)
+            out[2].append(mat.data)
+    for r in imap.coupling_rows:
+        ab = []
+        for k in (r.stage_a, r.stage_b):
+            lay = imap.layouts[k]
+            pos = lay.pg[r.gen] if r.gen is not None else lay.vm[r.bus]
+            ab.append(imap.var_offset[k] + pos)
+        cons[r.row] = x[ab[0]] - x[ab[1]]
+        jac[0].append([r.row, r.row])
+        jac[1].append(ab)
+        jac[2].append([1.0, -1.0])
+
+    def csr(parts, shape):
+        rows, cols, vals = (np.concatenate(v) for v in parts)
+        return sp.csr_matrix((vals, (rows, cols)), shape=shape)
+    return (float(obj), grad, cons, csr(jac, (m, n)), csr(hess, (n, n)))
+
+
+def assert_matches_stages(problem, imap, rng, points=2):
+    """The composite's callbacks equal the stacked stage callbacks bit
+    for bit at seeded random interior points."""
+    sizes = np.array([(lay.n_vars, lay.n_eq, lay.n_ineq)
+                      for lay in imap.layouts])
+    offsets = np.cumsum(sizes, axis=0) - sizes
+    assert imap.var_offset == tuple(offsets[:, 0])
+    assert imap.eq_offset == tuple(offsets[:, 1])
+    assert imap.ineq_offset == tuple(offsets[:, 2])
+
+    def same(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        return (a.shape == b.shape and a.dtype == b.dtype
+                and a.tobytes() == b.tobytes())
+
+    m = problem.m_eq + problem.m_ineq
+    for x in interior_points(problem, points, rng):
+        sigma = rng.uniform(0.1, 2.0)
+        mult = rng.normal(size=m)
+        ref = stacked_reference(imap, x, sigma, mult)
+        got = (problem.objective(x), problem.gradient(x),
+               problem.constraints(x), problem.jacobian(x),
+               problem.lagrangian_hessian(x, sigma, mult))
+        assert same(got[0], ref[0])
+        assert same(got[1], ref[1])
+        assert same(got[2], ref[2])
+        for a, b in zip(got[3:], ref[3:]):
+            assert a.shape == b.shape
+            assert all(same(getattr(a, f), getattr(b, f))
+                       for f in ("indptr", "indices", "data"))
 
 
 class TestStageLattice:
@@ -139,6 +227,55 @@ class TestLatticeProperties:
             SCENARIO_BOX: {((s, 0, 0), (0, 0, 0)) for s in range(1, ns)},
         }
         assert links == {k: v for k, v in expect.items() if v}
+
+
+class TestEngineMatchesStages:
+    """One engine over the whole lattice gives exactly what the stage
+    problems give one by one."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(ns=st.integers(1, 2), nc=st.integers(0, 3), nt=st.integers(1, 3),
+           kind=st.sampled_from(["corrective", "preventive"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_callbacks_bitwise(self, case9, scens, ctgs, ns, nc, nt, kind,
+                               seed):
+        # ctgc.cont opens with two generator outages: stages differ in size
+        problem, imap = compose_general(
+            scens.truncated(ns), ctgs.truncated(nc), load_steps(case9, nt),
+            CouplingMode(kind=kind), 5.0)
+        assert_matches_stages(problem, imap, np.random.default_rng(seed))
+
+    def test_flagship_lattice(self, case9, scens, ctgs):
+        problem, imap = compose_general(scens, ctgs, [case9] * 3, PREV, 5.0)
+        assert len(imap.stages) == 60
+        assert_matches_stages(problem, imap, np.random.default_rng(11))
+
+    def test_flat_and_voltage_pins(self, case9, scens, ctgs):
+        flat = compose_sopf_flat(case9, scens, ctgs, PREV)
+        assert_matches_stages(*flat, np.random.default_rng(12))
+        pins = compose_general(scens, ctgs.truncated(3), [case9],
+                               CouplingMode(kind="preventive",
+                                            pin_voltages=True), 30.0)
+        assert_matches_stages(*pins, np.random.default_rng(13))
+
+
+class TestCompositeDerivatives:
+
+    def test_small_lattice(self, case9, scens, ctgs):
+        """Analytic composite derivatives match finite differences on a
+        lattice with a tap-and-shift branch, a generator and a branch
+        outage, two scenarios and two periods."""
+        branches = (replace(case9.branches[0], ratio=0.95,
+                            angle=math.radians(2.0)),) + case9.branches[1:]
+        case = replace(case9, branches=branches)
+        gen2, branch45 = ctgs.by_id()[0], ctgs.by_id()[2]
+        assert [o.kind for o in gen2.outages + branch45.outages] == [
+            "GEN", "BRANCH"]
+        p, imap = compose_general(scens, ContingencySet((gen2, branch45)),
+                                  load_steps(case, 2), CORR, 5.0)
+        assert len(imap.stages) == 12
+        for x in interior_points(p, 3, np.random.default_rng(6)):
+            assert check_derivatives(p, x).ok()
 
 
 class TestCouplingRows:

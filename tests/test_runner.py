@@ -40,6 +40,17 @@ def _die_on_generator_outage(payload):
     return _chain_task(payload)
 
 
+_compose_chain = runner.compose_multiperiod
+
+
+def _raise_on_generator_outage(cases, dt_minutes):
+    """Chain composition that raises a plain ValueError on the
+    generator outage."""
+    if any(g.status == 0 for g in cases[0].gens):
+        raise ValueError("injected chain failure")
+    return _compose_chain(cases, dt_minutes)
+
+
 class TestPlanValidation:
 
     def test_unknown_application(self):
@@ -202,6 +213,42 @@ class TestEmpar:
         assert report.stages[1].solution is None
         assert all(s.status in ("Optimal", "Error") for s in report.stages)
         assert any("cont_1" in w and "died" in w for w in report.warnings)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_chain_exception_degrades(self, monkeypatch, workers):
+        """Any exception in one chain, not only an OpfkitError, leaves
+        Error stages and a warning instead of aborting the run."""
+        monkeypatch.setattr(runner, "compose_multiperiod",
+                            _raise_on_generator_outage)
+        report = run(scopf_plan(structure="Empar", nc=3, workers=workers))
+        assert report.status == "Degraded"
+        # contingencies 1 and 2 are the generator outages
+        assert [s.status for s in report.stages] == ["Optimal", "Error",
+                                                     "Error", "Optimal"]
+        assert report.stages[1].solution is None
+        assert "Traceback" in report.stages[1].message
+        for c in (1, 2):
+            assert any(f"cont_{c}" in w and "ValueError" in w
+                       for w in report.warnings)
+
+    def test_anchor_leaves_base_chain_free(self, tmp_path):
+        """Anchoring narrows every chain but the lattice's base chain,
+        which keeps the case's limits in the written file, as the global
+        base stage of a monolithic run is coupled to nothing."""
+        from opfkit import load_case
+        out = tmp_path / "sopf"
+        report = run(RunPlan(application="Sopf", netfile=NET,
+                             structure="Empar", workers=1, scenfile=SCEN,
+                             ctgcfile="tests/data/ctgc_branches.cont", nc=1,
+                             empar_anchor=True, outdir=str(out)))
+        write_output_tree(report)
+        assert report.status == "Optimal"
+        base = load_case(out / "scen_0" / "cont_0" / "t_0.m")
+        assert [(g.pmin, g.pmax) for g in base.gens[:2]] == [(10.0, 350.0),
+                                                             (10.0, 300.0)]
+        for s, c in ((0, 1), (1, 0), (1, 1)):
+            gens = load_case(out / f"scen_{s}" / f"cont_{c}" / "t_0.m").gens
+            assert gens[0].pmin > 10.0 and gens[0].pmax < 350.0
 
     def test_degraded_stage_reported(self):
         report = run(scopf_plan(structure="Empar", workers=1, max_iter=2))
