@@ -15,8 +15,12 @@ Each stage is one NetworkCase turned into a smooth NLP block:
 
 P_inj includes series branch flows, line charging, taps/shifts and the
 bus shunt (gs + j bs) scaled by |V|^2.  Gradient, Jacobian and
-Lagrangian Hessian are analytic; sparsity patterns are fixed at build
-time and only the numeric values change between evaluation points.
+Lagrangian Hessian are analytic.  Their COO positions are listed when
+the NLP is composed; the first evaluation of each turns them into a
+canonical CSR structure and a slot per entry, and every evaluation
+after that only computes values and sums them into those slots
+(duplicates in input order).  The structure arrays are shared by every
+matrix a callback returns.
 
 One engine evaluates every stage of a composite in one vectorized
 pass.  It stacks the stages' bus, branch and generator arrays in stage
@@ -40,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -53,7 +58,7 @@ from .network import (
     branch_admittance,
     check_connectivity,
 )
-from .nlp import NlpProblem
+from .nlp import CsrPattern, NlpProblem
 
 # unique upper-triangle positions of a 4x4 block over (tf, tt, vf, vt)
 _POSITIONS = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3),
@@ -131,12 +136,86 @@ def _blocks(counts: list[int]):
     return start, stage, np.arange(stage.size) - start[stage]
 
 
-class _Engine:
+class _Grid:
+    """Bus shunts (pu) and live branches over one bus numbering: branch
+    flows and bus injections at given voltages."""
+
+    def __init__(self, gs, bs, fo, to, y):
+        self.gs = np.array(gs, dtype=float)
+        self.bs = np.array(bs, dtype=float)
+        self.nb = self.gs.size
+        self.fo = np.array(fo, dtype=np.intp)
+        self.to = np.array(to, dtype=np.intp)
+        self.nbr = self.fo.size
+        y = np.array(y, dtype=complex).reshape(-1, 4)
+        self.gff, self.bff = y[:, 0].real.copy(), y[:, 0].imag.copy()
+        self.gft, self.bft = y[:, 1].real.copy(), y[:, 1].imag.copy()
+        self.gtf, self.btf = y[:, 2].real.copy(), y[:, 2].imag.copy()
+        self.gtt, self.btt = y[:, 3].real.copy(), y[:, 3].imag.copy()
+
+    @classmethod
+    def of_case(cls, case: NetworkCase):
+        """Every bus of the case by position and its in-service branches;
+        also returns those branches' positions."""
+        live = [k for k, br in enumerate(case.branches) if br.status != 0]
+        brv = [case.branches[k] for k in live]
+        base = case.base_mva
+        grid = cls([b.gs / base for b in case.buses],
+                   [b.bs / base for b in case.buses],
+                   [case.bus_pos[br.fbus] for br in brv],
+                   [case.bus_pos[br.tbus] for br in brv],
+                   [branch_admittance(br) for br in brv])
+        return grid, np.array(live, dtype=np.intp)
+
+    def flows(self, va: np.ndarray, vm: np.ndarray):
+        """Flow values, and the terms their derivatives are made of."""
+        vf, vt = vm[self.fo], vm[self.to]
+        th = va[self.fo] - va[self.to]
+        cs, sn = np.cos(th), np.sin(th)
+        u = self.gft * cs + self.bft * sn
+        w = self.gft * sn - self.bft * cs
+        u2 = self.gtf * cs - self.btf * sn
+        w2 = -(self.gtf * sn + self.btf * cs)
+        vv = vf * vt
+        return {"u": u, "w": w, "u2": u2, "w2": w2, "vf": vf, "vt": vt,
+                "vv": vv, "pf": self.gff * vf * vf + vv * u,
+                "qf": -self.bff * vf * vf + vv * w,
+                "pt": self.gtt * vt * vt + vv * u2,
+                "qt": -self.btt * vt * vt + vv * w2}
+
+    def first_order(self, va: np.ndarray, vm: np.ndarray):
+        """Flow values and their gradients over (tf, tt, vf, vt)."""
+        fo = self.flows(va, vm)
+        u, w, u2, w2 = fo["u"], fo["w"], fo["u2"], fo["w2"]
+        vf, vt, vv = fo["vf"], fo["vt"], fo["vv"]
+        fo["gpf"] = (-vv * w, vv * w, 2 * self.gff * vf + vt * u, vf * u)
+        fo["gqf"] = (vv * u, -vv * u, -2 * self.bff * vf + vt * w, vf * w)
+        fo["gpt"] = (vv * w2, -vv * w2, vt * u2, 2 * self.gtt * vt + vf * u2)
+        fo["gqt"] = (-vv * u2, vv * u2, vt * w2,
+                     -2 * self.btt * vt + vf * w2)
+        return fo
+
+    def injections(self, va: np.ndarray, vm: np.ndarray):
+        """Per-bus network injections (pu), shunts included, and the
+        flows they sum."""
+        fo = self.flows(va, vm)
+        p = np.zeros(self.nb)
+        q = np.zeros(self.nb)
+        np.add.at(p, self.fo, fo["pf"])
+        np.add.at(p, self.to, fo["pt"])
+        np.add.at(q, self.fo, fo["qf"])
+        np.add.at(q, self.to, fo["qt"])
+        p += self.gs * vm * vm
+        q -= self.bs * vm * vm
+        return p, q, fo
+
+
+class _Engine(_Grid):
     """Stacked arrays and vectorized callbacks over a list of stage cases.
 
     weights scale each stage's objective (all 1.0 by default).  `nlp`
-    adds the coupling rows, fixes the sparsity patterns and returns the
-    NLP over all stages.
+    adds the coupling rows, lists the Jacobian and Hessian positions and
+    returns the NLP over all stages.
     """
 
     def __init__(self, cases: list[NetworkCase],
@@ -180,17 +259,10 @@ class _Engine:
                    + [0.5 * (g.pmin + g.pmax) / base for g in gv]
                    + [0.5 * (g.qmin + g.qmax) / base for g in gv])
             nbus, nbr, ngen = nbus + st.nb, nbr + len(brv), ngen + st.ng
-        self.nb, self.nbr, self.ng = nbus, nbr, ngen
+        super().__init__(gs, bs, fo, to, y)
+        self.ng = ngen
 
         self.pd, self.qd = np.array(pd), np.array(qd)
-        self.gs, self.bs = np.array(gs), np.array(bs)
-        self.fo = np.array(fo, dtype=np.intp)
-        self.to = np.array(to, dtype=np.intp)
-        y = np.array(y, dtype=complex).reshape(-1, 4)
-        self.gff, self.bff = y[:, 0].real.copy(), y[:, 0].imag.copy()
-        self.gft, self.bft = y[:, 1].real.copy(), y[:, 1].imag.copy()
-        self.gtf, self.btf = y[:, 2].real.copy(), y[:, 2].imag.copy()
-        self.gtt, self.btt = y[:, 3].real.copy(), y[:, 3].imag.copy()
         self.rated = np.array(rated, dtype=np.intp)
         self.smax2 = np.array(smax2, dtype=float)
         self.gslot = np.array(gslot, dtype=np.intp)
@@ -294,41 +366,14 @@ class _Engine:
 
     # --- evaluation ------------------------------------------------------
 
-    def first_order(self, va: np.ndarray, vm: np.ndarray):
-        """Flow values and their gradients over (tf, tt, vf, vt)."""
-        vf, vt = vm[self.fo], vm[self.to]
-        th = va[self.fo] - va[self.to]
-        cs, sn = np.cos(th), np.sin(th)
-        u = self.gft * cs + self.bft * sn
-        w = self.gft * sn - self.bft * cs
-        u2 = self.gtf * cs - self.btf * sn
-        w2 = -(self.gtf * sn + self.btf * cs)
-        vv = vf * vt
-        pf = self.gff * vf * vf + vv * u
-        qf = -self.bff * vf * vf + vv * w
-        pt = self.gtt * vt * vt + vv * u2
-        qt = -self.btt * vt * vt + vv * w2
-        gpf = (-vv * w, vv * w, 2 * self.gff * vf + vt * u, vf * u)
-        gqf = (vv * u, -vv * u, -2 * self.bff * vf + vt * w, vf * w)
-        gpt = (vv * w2, -vv * w2, vt * u2, 2 * self.gtt * vt + vf * u2)
-        gqt = (-vv * u2, vv * u2, vt * w2, -2 * self.btt * vt + vf * w2)
-        return {"u": u, "w": w, "u2": u2, "w2": w2, "vf": vf, "vt": vt,
-                "vv": vv, "pf": pf, "qf": qf, "pt": pt, "qt": qt,
-                "gpf": gpf, "gqf": gqf, "gpt": gpt, "gqt": gqt}
+    @cached_property
+    def _jac(self) -> CsrPattern:
+        return CsrPattern(self.jac_rows, self.jac_cols,
+                          (self.m_eq + self.m_ineq, self.n))
 
-    def injections(self, va: np.ndarray, vm: np.ndarray, fo=None):
-        """Per-bus network injections (pu), shunts included."""
-        if fo is None:
-            fo = self.first_order(va, vm)
-        p = np.zeros(self.nb)
-        q = np.zeros(self.nb)
-        np.add.at(p, self.fo, fo["pf"])
-        np.add.at(p, self.to, fo["pt"])
-        np.add.at(q, self.fo, fo["qf"])
-        np.add.at(q, self.to, fo["qt"])
-        p += self.gs * vm * vm
-        q -= self.bs * vm * vm
-        return p, q, fo
+    @cached_property
+    def _hess(self) -> CsrPattern:
+        return CsrPattern(self.hess_rows, self.hess_cols, (self.n, self.n))
 
     def objective(self, x: np.ndarray) -> float:
         pg = x[self.pg_col]
@@ -373,10 +418,7 @@ class _Engine:
                 -2 * self.gs * vm, 2 * self.bs * vm,         # shunts
                 np.ones(self.ng), np.ones(self.ng),          # gen columns
                 dsf.ravel(), dst.ravel(), self.link_vals]
-        mat = sp.coo_matrix(
-            (np.concatenate(data), (self.jac_rows, self.jac_cols)),
-            shape=(self.m_eq + self.m_ineq, self.n))
-        return mat.tocsr()
+        return self._jac.wrap(np.concatenate(data))
 
     def _flow_hessians(self, fo):
         """Per-position second derivatives of the four flow quantities."""
@@ -427,10 +469,7 @@ class _Engine:
         lam_q_bus = -mult[self.q_row]
         vals.append(2 * (lam_p_bus * self.gs - lam_q_bus * self.bs))
         vals.append(2 * (obj_factor * self.gen_w) * self.cost_a)
-        mat = sp.coo_matrix(
-            (np.concatenate(vals), (self.hess_rows, self.hess_cols)),
-            shape=(self.n, self.n))
-        return mat.tocsr()
+        return self._hess.wrap(np.concatenate(vals))
 
 
 def build_acopf(case: NetworkCase):
@@ -480,21 +519,15 @@ class SolvedCase:
 
 
 def _branch_flows_mw(case: NetworkCase, va: np.ndarray, vm: np.ndarray):
-    nbrs = len(case.branches)
-    pf = np.zeros(nbrs)
-    qf = np.zeros(nbrs)
-    pt = np.zeros(nbrs)
-    qt = np.zeros(nbrs)
-    e = _Engine([case])
-    st = e.stages[0]
-    if e.nbr:
-        fo = e.first_order(va[st.active], vm[st.active])
-        live = np.array(st.live_branches, dtype=np.intp)
-        pf[live] = fo["pf"] * case.base_mva
-        qf[live] = fo["qf"] * case.base_mva
-        pt[live] = fo["pt"] * case.base_mva
-        qt[live] = fo["qt"] * case.base_mva
-    return pf, qf, pt, qt
+    """Branch flows (MW / MVAr) at bus-position voltage arrays; zero on
+    out-of-service branches."""
+    grid, live = _Grid.of_case(case)
+    flows = tuple(np.zeros(len(case.branches)) for _ in range(4))
+    if live.size:
+        fo = grid.flows(va, vm)
+        for out, key in zip(flows, ("pf", "qf", "pt", "qt")):
+            out[live] = fo[key] * case.base_mva
+    return flows
 
 
 def extract_solution(case: NetworkCase, layout: AcopfLayout,
@@ -555,21 +588,15 @@ def residuals_at(case: NetworkCase, sol: SolvedCase):
     for attr, count in (("vm", len(case.buses)), ("pg", len(case.gens))):
         if getattr(sol, attr).shape != (count,):
             raise DimensionMismatch(f"solution {attr} has wrong length")
-    e = _Engine([case])
-    st = e.stages[0]
-    p, q, _ = e.injections(sol.va[st.active], sol.vm[st.active])
-    dp_s = -p * case.base_mva
-    dq_s = -q * case.base_mva
-    for k, pos in enumerate(st.active):
-        b = case.buses[pos]
-        dp_s[k] -= b.pd
-        dq_s[k] -= b.qd
-    for j in st.live_gens:
-        k = st.slot[case.bus_pos[case.gens[j].bus]]
-        dp_s[k] += sol.pg[j]
-        dq_s[k] += sol.qg[j]
-    dp = np.zeros(len(case.buses))
-    dq = np.zeros(len(case.buses))
-    dp[st.active] = dp_s
-    dq[st.active] = dq_s
+    grid, _ = _Grid.of_case(case)
+    p, q, _ = grid.injections(sol.va, sol.vm)
+    dp = -p * case.base_mva - np.array([b.pd for b in case.buses])
+    dq = -q * case.base_mva - np.array([b.qd for b in case.buses])
+    for j, g in enumerate(case.gens):
+        if g.status != 0:
+            dp[case.bus_pos[g.bus]] += sol.pg[j]
+            dq[case.bus_pos[g.bus]] += sol.qg[j]
+    isolated = [i for i, b in enumerate(case.buses) if b.btype == ISOLATED]
+    dp[isolated] = 0.0
+    dq[isolated] = 0.0
     return dp, dq

@@ -20,6 +20,20 @@ level.  Once reg makes the (1,1) block positive definite the matrix is
 quasi-definite, and a quasi-definite matrix has an LDL' factorization
 in every ordering (Vanderbei 1995).
 
+Every sparsity pattern is fixed once per solve, and each iteration
+refills values only.  The Jacobian pattern is read from the call that
+computes the row scaling, the Hessian pattern from the first Hessian
+call; a callback whose later pattern differs raises DimensionMismatch.
+Je and Ji are solver-owned: each Jacobian call gathers their values
+from the free columns and scales them by row, and products with them
+are bincounts that add in the order scipy's matvecs do.  At the first
+Newton step a scatter map is built from the Hessian's free lower
+triangle, a pair list for Ji' Ds Ji, Je and the diagonal into the .data
+of one mirrored CSC matrix K; later steps only refill it.  The first
+accepted factorization's minimum-degree ordering is kept: K is laid
+out in that order, and later factorizations use it as their natural
+order, with the same diagonal-pivot check and inertia count.
+
 Globalization is a backtracking line search on the l1 exact-penalty
 merit function of the barrier problem.  The penalty is kept above the
 multiplier norms and cooled when they shrink; a rejected full step
@@ -52,7 +66,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import DimensionMismatch
-from .nlp import NlpProblem
+from .nlp import CsrPattern, NlpProblem
 
 OPTIMAL = "Optimal"
 MAX_ITER = "MaxIter"
@@ -110,12 +124,67 @@ class SolveResult:
     message: str = ""
 
 
+# --- fixed sparsity patterns ----------------------------------------------
+
+
+class _Csr:
+    """Solver-owned sparse matrix with a fixed CSR pattern; only `data`
+    is refilled.  Products are np.bincount sums in entry order, which
+    add in the order scipy's CSR (A @ x) and CSC (A' @ y) matvecs do."""
+
+    def __init__(self, indptr, indices, shape, data=None):
+        self.indptr = np.asarray(indptr, dtype=np.intp)
+        self.cols = np.asarray(indices, dtype=np.intp)
+        self.shape = shape
+        self.rows = np.repeat(np.arange(shape[0]), np.diff(self.indptr))
+        self.data = np.zeros(self.cols.size) if data is None else data
+
+    @classmethod
+    def of(cls, mat) -> _Csr:
+        mat = sp.csr_matrix(mat, copy=True)
+        mat.sum_duplicates()
+        return cls(mat.indptr, mat.indices, mat.shape, mat.data)
+
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        return np.bincount(self.rows, weights=self.data * x[self.cols],
+                           minlength=self.shape[0])
+
+    def tdot(self, y: np.ndarray) -> np.ndarray:
+        return np.bincount(self.cols, weights=self.data * y[self.rows],
+                           minlength=self.shape[1])
+
+
+def _canonical(mat, name: str, pattern):
+    """A callback's matrix as canonical CSR.  pattern is the (indptr,
+    indices) first read from that callback, or None on the first read;
+    a later matrix must have exactly that pattern."""
+    if getattr(mat, "format", None) != "csr":
+        mat = sp.csr_matrix(mat)
+    if not mat.has_canonical_format:
+        mat = mat.copy()
+        mat.sum_duplicates()
+    if pattern is not None and not (np.array_equal(mat.indptr, pattern[0])
+                                    and np.array_equal(mat.indices,
+                                                       pattern[1])):
+        raise DimensionMismatch(
+            f"{name} returned a sparsity pattern different from its first "
+            f"one ({mat.nnz} entries, first {pattern[1].size})")
+    return mat
+
+
 # --- fixed-variable elimination and scaling --------------------------------
 
 
 class _View:
     """Problem with xl == xu variables substituted out, objective and
-    constraint rows scaled so start-point gradient norms are <= 100."""
+    constraint rows scaled so start-point gradient norms are <= 100.
+
+    The Jacobian pattern is read from the scaling call and the Hessian
+    pattern from the first Hessian call.  From then on each call only
+    gathers the free-column values: the Jacobian into the solver-owned
+    Je and Ji (scaled by row), the Hessian into the values of its free
+    lower triangle at (h_rows, h_cols).
+    """
 
     def __init__(self, p: NlpProblem):
         self.p = p
@@ -127,25 +196,42 @@ class _View:
         self.xl = p.xl[self.free]
         self.xu = p.xu[self.free]
         self.x0 = p.x0[self.free]
+        # each variable's free column, -1 when fixed
+        self.col = np.full(p.n, -1, dtype=np.intp)
+        self.col[self.free] = np.arange(self.n)
 
-        m = p.m_eq + p.m_ineq
+        me, m = p.m_eq, p.m_eq + p.m_ineq
         x_start = _push_interior(self.x0, self.xl, self.xu)
         g0 = self.p.gradient(self.lift(x_start))[self.free]
         gmax = float(np.max(np.abs(g0))) if g0.size else 0.0
         self.s_f = min(1.0, _SCALE_GRAD / gmax) if gmax > 0 else 1.0
+        self._jac = None            # the Jacobian's pattern, once read
+        rows = cols = np.zeros(0, dtype=np.intp)
+        row_inf = np.zeros(m)
         if m:
-            j0 = self.p.jacobian(self.lift(x_start))[:, self.free]
-            row_inf = np.zeros(m)
-            j0a = np.abs(j0.tocsr())
-            row_max = j0a.max(axis=1).toarray().ravel()
-            row_inf[:row_max.size] = row_max
-            with np.errstate(divide="ignore"):
-                self.s_c = np.minimum(1.0, _SCALE_GRAD / row_inf)
-            self.s_c[~np.isfinite(self.s_c)] = 1.0
-        else:
-            self.s_c = np.zeros(0)
+            j0 = _canonical(self.p.jacobian(self.lift(x_start)), "jacobian",
+                            None)
+            self._jac = (j0.indptr.copy(), j0.indices.copy())
+            rows = np.repeat(np.arange(m), np.diff(j0.indptr))
+            cols = self.col[j0.indices]
+            self._j_take = np.flatnonzero(cols >= 0)
+            rows, cols = rows[self._j_take], cols[self._j_take]
+            np.maximum.at(row_inf, rows, np.abs(j0.data[self._j_take]))
+        with np.errstate(divide="ignore"):
+            self.s_c = np.minimum(1.0, _SCALE_GRAD / row_inf)
+        self.s_c[~np.isfinite(self.s_c)] = 1.0
         self.gl = self.s_c[p.m_eq:] * p.gl
         self.gu = self.s_c[p.m_eq:] * p.gu
+        self._j_scale = self.s_c[rows]
+        indptr = np.zeros(m + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
+        split = indptr[me]
+        self._j_data = np.zeros(cols.size)
+        self.je = _Csr(indptr[:me + 1], cols[:split], (me, self.n),
+                       self._j_data[:split])
+        self.ji = _Csr(indptr[me:] - split, cols[split:],
+                       (p.m_ineq, self.n), self._j_data[split:])
+        self._hess = None           # the Hessian's pattern, once read
 
     def lift(self, x: np.ndarray) -> np.ndarray:
         full = self.template.copy()
@@ -161,37 +247,122 @@ class _View:
     def constraints(self, x):
         return self.s_c * self.p.constraints(self.lift(x))
 
-    def jacobian(self, x):
-        j = self.p.jacobian(self.lift(x))[:, self.free]
-        return sp.diags(self.s_c) @ j
+    def jacobian(self, x) -> tuple[_Csr, _Csr]:
+        """(Je, Ji) at x, refilled in place."""
+        if self._jac is not None:
+            j = _canonical(self.p.jacobian(self.lift(x)), "jacobian",
+                           self._jac)
+            np.multiply(j.data[self._j_take], self._j_scale,
+                        out=self._j_data)
+        return self.je, self.ji
 
-    def hessian(self, x, sigma, mult):
-        h = self.p.lagrangian_hessian(self.lift(x), sigma * self.s_f,
-                                      mult * self.s_c)
-        return h[self.free][:, self.free]
+    def hessian(self, x, sigma, mult) -> np.ndarray:
+        """Values of the Hessian's free lower triangle at (h_rows,
+        h_cols)."""
+        h = _canonical(self.p.lagrangian_hessian(
+            self.lift(x), sigma * self.s_f, mult * self.s_c),
+            "lagrangian_hessian", self._hess)
+        if self._hess is None:
+            self._hess = (h.indptr.copy(), h.indices.copy())
+            r = self.col[np.repeat(np.arange(h.shape[0]), np.diff(h.indptr))]
+            c = self.col[h.indices]
+            self._h_take = np.flatnonzero((c >= 0) & (r >= c))
+            self.h_rows, self.h_cols = r[self._h_take], c[self._h_take]
+        return h.data[self._h_take]
 
 
 # --- KKT factorization ------------------------------------------------------
 
 
-def _kkt_lower(hess, dx_diag, ji, ds_diag, je) -> sp.coo_matrix:
-    """Summed lower triangle of K = [[H + Dx + Ji' Ds Ji, Je'], [Je, 0]]
-    as COO, with every diagonal entry stored."""
-    n, me = hess.shape[0], je.shape[0]
-    dim = n + me
-    blocks = [hess.tocoo()]
-    if ji.shape[0]:
-        blocks.append((ji.T @ ji.multiply(ds_diag[:, None])).tocoo())
-    je = je.tocoo()
-    diag = np.arange(dim)
-    r = np.concatenate([b.row for b in blocks] + [je.row + n, diag])
-    c = np.concatenate([b.col for b in blocks] + [je.col, diag])
-    v = np.concatenate([b.data for b in blocks]
-                       + [je.data, dx_diag, np.zeros(me)])
-    low = r >= c
-    k = sp.coo_matrix((v[low], (r[low], c[low])), shape=(dim, dim))
-    k.sum_duplicates()
-    return k
+class _Kkt:
+    """K = [[H + Dx + Ji' Ds Ji, Je'], [Je, 0]] on a pattern fixed at
+    construction.
+
+    Its lower triangle sums, in this order, the H entries at (h_rows,
+    h_cols) (h_rows >= h_cols, duplicates allowed), one product
+    ji_ka (ji_kb ds_k) per pair of entries a >= b of each Ji row k (k
+    ascending, as scipy's Ji' (Ds Ji) adds them), the Je entries and Dx;
+    `fill` scatters them with one bincount into `values`.  `matrix`
+    mirrors those into the .data of one CSC matrix with every diagonal
+    entry stored.  Once `reorder` is given a factorization's column
+    permutation, the CSC matrix is laid out in that order, so later
+    factorizations need no fill-reducing ordering of their own.
+    """
+
+    def __init__(self, h_rows, h_cols, ji: _Csr, je: _Csr):
+        n, me = ji.shape[1], je.shape[0]
+        self.n, self.me = n, me
+        dim = n + me
+        # every ordered pair (p, q) of entries within one Ji row
+        reps = np.diff(ji.indptr)[ji.rows]
+        p = np.repeat(np.arange(ji.cols.size), reps)
+        row_start = np.repeat(ji.indptr[ji.rows], reps)
+        q = row_start + np.arange(p.size) - np.repeat(np.cumsum(reps) - reps,
+                                                      reps)
+        keep = ji.cols[p] >= ji.cols[q]
+        self.pair_a, self.pair_b = p[keep], q[keep]
+        self.pair_k = ji.rows[self.pair_a]
+        diag = np.arange(dim)
+        rows = np.concatenate([h_rows, ji.cols[self.pair_a], je.rows + n,
+                               diag])
+        cols = np.concatenate([h_cols, ji.cols[self.pair_b], je.cols, diag])
+        # the lower triangle in CSC order is its transpose in CSR order
+        self.low = CsrPattern(cols, rows, (dim, dim))
+        self.low_cols = np.repeat(diag, np.diff(self.low.indptr))
+        self.low_rows = self.low.indices.astype(np.intp)
+        self.values = np.zeros(self.low_rows.size)
+        self.perm = None
+        self._lay_out(diag)
+
+    def _lay_out(self, place: np.ndarray) -> None:
+        """CSC structure of the mirrored K with row and column i at
+        place[i], and the gather from low values into its .data."""
+        lr, lc = self.low_rows, self.low_cols
+        strict = np.flatnonzero(lr > lc)
+        src = np.concatenate([np.arange(lr.size), strict])
+        r = place[np.concatenate([lr, lc[strict]])]
+        c = place[np.concatenate([lc, lr[strict]])]
+        dim = self.n + self.me
+        full = CsrPattern(c, r, (dim, dim))     # CSC; every position once
+        self.src = np.empty_like(src)
+        self.src[full.slot] = src
+        self.mat = sp.csc_matrix((np.zeros(src.size), full.indices,
+                                  full.indptr), shape=(dim, dim))
+        self.mat.has_canonical_format = True
+        # .data position of each diagonal entry, in K's own order
+        self.diag = full.slot[np.flatnonzero(lr == lc)]
+
+    def fill(self, h, dx_diag, ji_data, ds_diag, je_data) -> _Kkt:
+        a, b = ji_data[self.pair_a], ji_data[self.pair_b]
+        jdj = a * (b * ds_diag[self.pair_k])
+        self.values = self.low.sums(np.concatenate(
+            [h, jdj, je_data, dx_diag, np.zeros(self.me)]))
+        return self
+
+    def matrix(self, reg: float, delta: float) -> sp.csc_matrix:
+        """Mirrored K with reg added on the first n diagonal entries and
+        -delta on the last m_eq, in the current layout."""
+        data = self.mat.data
+        np.take(self.values, self.src, out=data)
+        data[self.diag[:self.n]] += reg
+        data[self.diag[self.n:]] -= delta
+        return self.mat
+
+    def reorder(self, perm_c: np.ndarray) -> None:
+        """Lay K out as P K P' for a factorization's column permutation
+        perm_c (row and column i move to perm_c[i])."""
+        self.perm = (np.argsort(perm_c), perm_c)
+        self._lay_out(perm_c)
+
+
+def _kkt_lower(hess, dx_diag, ji, ds_diag, je) -> _Kkt:
+    """K for one set of scipy blocks (hess the whole symmetric (1,1)
+    block), its pattern built and filled once."""
+    h = sp.coo_matrix(hess)
+    low = h.row >= h.col
+    ji, je = _Csr.of(ji), _Csr.of(je)
+    return _Kkt(h.row[low], h.col[low], ji, je).fill(
+        h.data[low], dx_diag, ji.data, ds_diag, je.data)
 
 
 class _SparseLdl:
@@ -200,27 +371,22 @@ class _SparseLdl:
     K gets reg on its first n diagonal entries and -delta on the last
     m_eq, and is mirrored from its lower triangle so it is exactly
     symmetric.  SuperLU in symmetric mode with a zero pivot threshold
-    pivots on the diagonal of the fill-reducing ordering; when it did
-    (perm_r == perm_c) the factorization is P K P' = L U with U = D L',
-    so by Sylvester's law the signs of diag(U) are the inertia of K.
-    ok holds when they count (n, m_eq).  A singular K or an off-diagonal
-    pivot is reported as not ok.
+    pivots on the diagonal of the column ordering: a minimum-degree
+    ordering until K has been reordered, its natural order after.  When
+    it did (perm_r == perm_c) the factorization is P K P' = L U with
+    U = D L', so by Sylvester's law the signs of diag(U) are the inertia
+    of K.  ok holds when they count (n, m_eq).  A singular K or an
+    off-diagonal pivot is reported as not ok.
     """
 
-    def __init__(self, low: sp.coo_matrix, reg: float, delta: float,
+    def __init__(self, kkt: _Kkt, reg: float, delta: float,
                  n: int, me: int):
-        r, c = low.row, low.col
-        v = low.data.copy()
-        on_diag = r == c
-        v[on_diag] += np.where(r[on_diag] < n, reg, -delta)
-        strict = r > c
-        k = sp.csc_matrix((np.concatenate([v, v[strict]]),
-                           (np.concatenate([r, c[strict]]),
-                            np.concatenate([c, r[strict]]))),
-                          shape=low.shape)
+        self.perm = kkt.perm
         self.ok = False
         try:
-            self.lu = splu(k, permc_spec="MMD_AT_PLUS_A",
+            self.lu = splu(kkt.matrix(reg, delta),
+                           permc_spec=("MMD_AT_PLUS_A" if self.perm is None
+                                       else "NATURAL"),
                            diag_pivot_thresh=0.0,
                            options={"SymmetricMode": True})
         except RuntimeError:
@@ -231,7 +397,10 @@ class _SparseLdl:
                    and np.count_nonzero(d < 0.0) == me)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self.lu.solve(rhs)
+        if self.perm is None:
+            return self.lu.solve(rhs)
+        at, perm_c = self.perm
+        return self.lu.solve(rhs[at])[perm_c]
 
 
 # --- solver ----------------------------------------------------------------
@@ -304,8 +473,11 @@ class _Ipm:
                 terms -= float(np.sum(np.log(g)))
         return terms
 
-    def _merit(self, x, s, mu, nu):
-        c = self.view.constraints(x)
+    def _merit(self, x, s, mu, nu, c=None):
+        """Merit at (x, s); c is the scaled constraint vector at x when
+        already evaluated."""
+        if c is None:
+            c = self.view.constraints(x)
         ce, ci = c[:self.me], c[self.me:]
         viol = (float(np.sum(np.abs(ce))) +
                 float(np.sum(np.abs(ci - s))))
@@ -338,21 +510,23 @@ class _Ipm:
         status, message = MAX_ITER, ""
         it = 0
         kkt_out = (np.inf, np.inf, np.inf)
+        kkt = None
 
         while it < opt.max_iter:
             g = v.gradient(x)
             c = v.constraints(x)
             ce, ci = c[:me], c[me:]
-            jac = v.jacobian(x)
-            je, ji = jac[:me], jac[me:]
+            je, ji = v.jacobian(x)
             ri = ci - s
             gxl, gxu, gsl, gsu = self._gaps(x, s)
 
+            jt_lam_e = je.tdot(lam_e)
+            jt_lam_i = ji.tdot(lam_i)
             rx = g - zxl + zxu
             if me:
-                rx = rx + je.T @ lam_e
+                rx = rx + jt_lam_e
             if mi:
-                rx = rx + ji.T @ lam_i
+                rx = rx + jt_lam_i
             rs = -lam_i - zsl + zsu
 
             # scaled-space residuals drive the barrier schedule
@@ -413,12 +587,14 @@ class _Ipm:
                 mu = max(mu_min, opt.kappa_mu * mu)
 
             # Newton system
-            hess = self.view.hessian(x, 1.0, np.concatenate([lam_e, lam_i]))
+            hess = v.hessian(x, 1.0, np.concatenate([lam_e, lam_i]))
             dx_diag = (np.where(self.fxl, zxl / gxl, 0.0)
                        + np.where(self.fxu, zxu / gxu, 0.0))
             ds_diag = (np.where(self.fsl, zsl / gsl, 0.0)
                        + np.where(self.fsu, zsu / gsu, 0.0))
-            kkt = _kkt_lower(hess, dx_diag, ji, ds_diag, je)
+            if kkt is None:
+                kkt = _Kkt(v.h_rows, v.h_cols, ji, je)
+            kkt.fill(hess, dx_diag, ji.data, ds_diag, je.data)
 
             mu_xl = np.where(self.fxl, mu / gxl, 0.0)
             mu_xu = np.where(self.fxu, mu / gxu, 0.0)
@@ -426,9 +602,9 @@ class _Ipm:
             mu_su = np.where(self.fsu, mu / gsu, 0.0)
             phi_x = g - mu_xl + mu_xu
             if me:
-                phi_x = phi_x + je.T @ lam_e
+                phi_x = phi_x + jt_lam_e
             if mi:
-                phi_x = phi_x + ji.T @ lam_i
+                phi_x = phi_x + jt_lam_i
             phi_s = lam_i + mu_sl - mu_su
 
             reg, delta = 0.0, _DELTA0
@@ -448,6 +624,9 @@ class _Ipm:
                 message = "factorization failed after regularization retries"
                 break
             reg_last = reg
+            if kkt.perm is None:
+                # keep the first accepted fill-reducing ordering
+                kkt.reorder(fact.lu.perm_c)
 
             def recover(ri_rhs, ce_rhs):
                 """Direction from the current factorization for the given
@@ -455,12 +634,12 @@ class _Ipm:
                 correction)."""
                 r1 = -phi_x
                 if mi:
-                    r1 = r1 - ji.T @ (ds_diag * ri_rhs - phi_s)
+                    r1 = r1 - ji.tdot(ds_diag * ri_rhs - phi_s)
                 sol = fact.solve(np.concatenate([r1, -ce_rhs]))
                 dx = sol[:n]
                 ds = ri_rhs.copy()
                 if mi:
-                    ds = ds + ji @ dx
+                    ds = ds + ji.dot(dx)
                 return dx, sol[n:], ds
 
             def dual_steps(dx, ds):
@@ -501,7 +680,7 @@ class _Ipm:
             descent = (float(gbar_x @ dx) + float(gbar_s @ ds)
                        - nu * viol1)
 
-            merit0 = self._merit(x, s, mu, nu)
+            merit0 = self._merit(x, s, mu, nu, c)
             alpha = a_p
             accepted = False
             soc_left = 1

@@ -9,9 +9,17 @@ constraints(x) returns the stacked vector [c_eq; c_ineq] and
 jacobian(x) the matching (m_eq + m_ineq) x n sparse matrix.
 lagrangian_hessian(x, obj_factor, mult) returns the sparse symmetric
 matrix obj_factor * H(f) + sum_k mult[k] * H(c_k) with mult running
-over the same stacked constraint order.  Infinite bounds use +-inf.
-Callbacks must keep their sparsity pattern fixed across evaluation
-points.
+over the same stacked constraint order; the solver reads its lower
+triangle.  Infinite bounds use +-inf.
+
+Sparsity contract: the Jacobian and Hessian callbacks keep one
+sparsity pattern at every evaluation point.  Each matrix is first made
+canonical CSR (COO, or CSR with unsorted or repeated indices, is
+converted with duplicates summed); the solver reads the pattern of the
+first one per solve and refills values only after that.  A later
+matrix whose canonical indptr or indices differ raises
+DimensionMismatch naming the callback.  An entry that can be zero must
+stay stored as an explicit zero (`sp.csr_matrix(dense)` drops zeros).
 """
 
 from __future__ import annotations
@@ -47,3 +55,40 @@ class NlpProblem:
         for attr in ("gl", "gu"):
             if getattr(self, attr).shape != (self.m_ineq,):
                 raise ValueError(f"{attr} must have shape ({self.m_ineq},)")
+
+
+class CsrPattern:
+    """Canonical CSR structure of fixed COO positions.
+
+    slot[k] is the CSR position of input entry k.  Duplicate positions
+    share a slot, and `sums` adds their values in input order.
+    """
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray,
+                 shape: tuple[int, int]):
+        order = np.lexsort((cols, rows))      # stable: ties keep input order
+        r, c = rows[order], cols[order]
+        first = np.ones(r.size, dtype=bool)
+        first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+        self.slot = np.empty(r.size, dtype=np.intp)
+        self.slot[order] = np.cumsum(first) - 1
+        # the index dtype scipy picks, so wrapping never copies
+        idx = (np.int32 if max(*shape, r.size) <= np.iinfo(np.int32).max
+               else np.int64)
+        self.indices = c[first].astype(idx)
+        self.indptr = np.zeros(shape[0] + 1, dtype=idx)
+        np.cumsum(np.bincount(r[first], minlength=shape[0]),
+                  out=self.indptr[1:])
+        self.shape = shape
+
+    def sums(self, vals: np.ndarray) -> np.ndarray:
+        """CSR data of the matrix whose input entries hold vals."""
+        return np.bincount(self.slot, weights=vals,
+                           minlength=self.indices.size)
+
+    def wrap(self, vals: np.ndarray) -> sp.csr_matrix:
+        """The matrix whose input entries hold vals, on this structure."""
+        mat = sp.csr_matrix((self.sums(vals), self.indices, self.indptr),
+                            shape=self.shape)
+        mat.has_canonical_format = True
+        return mat

@@ -7,14 +7,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from opfkit import (
+    CouplingMode,
+    NlpProblem,
     SolverOptions,
     build_acopf,
     check_derivatives,
+    compose_general,
     errors,
     kkt_error,
     solve,
 )
-from opfkit.ipm import _kkt_lower, _SparseLdl
+from opfkit.ipm import _Kkt, _kkt_lower, _SparseLdl, _View
 
 from problems import (
     infeasible_box,
@@ -99,6 +102,19 @@ class TestDeterminism:
         # same path to the same point
         assert r1.iterations == 15
         assert r1.objective == pytest.approx(3049.2461840446076, rel=1e-8)
+
+    def test_flagship_lattice_path(self, case9, scens, ctgs):
+        """2 scenarios x 10 contingency stages x 3 periods, preventive:
+        the iteration count, the unregularized path and the objective of
+        the solver that assembled K anew at every iteration."""
+        p, imap = compose_general(scens, ctgs, [case9] * 3,
+                                  CouplingMode(kind="preventive"), 5.0)
+        assert len(imap.stages) == 60
+        r = solve(p, SolverOptions())
+        assert r.status == "Optimal"
+        assert r.iterations == 27
+        assert sum(rec.reg > 0.0 for rec in r.iter_log) == 0
+        assert r.objective == pytest.approx(109034.70792620965, rel=1e-12)
 
 
 def _kkt_blocks(seed, n, me, density):
@@ -193,6 +209,193 @@ class TestKktFactor:
         fact = _sparse_factor(h, np.zeros(n), empty, np.zeros(0), je,
                               min(reg, 0.5), delta)
         assert not fact.ok
+
+
+def _view_problem(seed, n, me, mi, density, n_fixed):
+    """A problem whose Jacobian and Hessian callbacks return new values
+    on one fixed pattern at each call: the Jacobian as CSR with rows of
+    very different magnitudes, the Hessian as COO with every entry split
+    into two duplicates.  Also returns the matrices each call gives."""
+    rng = np.random.default_rng(seed)
+    m = me + mi
+    mask = rng.random((m, n)) < density
+    mask[np.arange(m), rng.integers(0, n, m)] = True
+    jr, jc = np.nonzero(mask)
+    row_mag = 10.0 ** rng.uniform(-1.0, 4.0, m)
+    lower = np.tril(rng.random((n, n)) < density) | np.eye(n, dtype=bool)
+    lr, lc = np.nonzero(lower)
+    off = lr != lc
+    hr = np.concatenate([lr, lr, lc[off], lc[off]])
+    hc = np.concatenate([lc, lc, lr[off], lr[off]])
+    jacs, hessians = [], []
+    for _ in range(3):
+        jacs.append(sp.csr_matrix(
+            (rng.standard_normal(jr.size) * row_mag[jr], (jr, jc)),
+            shape=(m, n)))
+        a, b = rng.standard_normal((2, lr.size))
+        hessians.append(sp.coo_matrix(
+            (np.concatenate([a, b, a[off], b[off]]), (hr, hc)), shape=(n, n)))
+    calls = {"jacobian": 0, "hessian": 0}
+
+    def jacobian(x):
+        calls["jacobian"] += 1
+        return jacs[calls["jacobian"] - 1]
+
+    def hessian(x, obj_factor, mult):
+        calls["hessian"] += 1
+        return hessians[calls["hessian"] - 1]
+
+    xl = np.full(n, -np.inf)
+    xu = np.full(n, np.inf)
+    fixed = rng.permutation(n)[:n_fixed]
+    xl[fixed] = xu[fixed] = rng.standard_normal(n_fixed)
+    g0 = rng.standard_normal(n) * 1e3
+    p = NlpProblem(
+        n=n, m_eq=me, m_ineq=mi, xl=xl, xu=xu, gl=np.full(mi, -np.inf),
+        gu=np.full(mi, np.inf), x0=np.zeros(n), objective=lambda x: 0.0,
+        gradient=lambda x: g0, constraints=lambda x: np.zeros(m),
+        jacobian=jacobian, lagrangian_hessian=hessian, name="random")
+    # the Jacobian call that sets the scaling comes first
+    return p, jacs, [h.tocsr() for h in hessians[:2]]
+
+
+def _old_kkt(jac, hess, free, s_c, dx, ds, me, reg, delta):
+    """Dense K assembled the way the solver once did, from scipy
+    products on the sliced callback matrices."""
+    jf = sp.diags(s_c) @ jac[:, free]
+    je, ji = jf[:me], jf[me:]
+    hf = hess[free][:, free]
+    jdj = ji.T @ ji.multiply(ds[:, None])
+    low = np.tril(hf.toarray()) + np.tril(jdj.toarray()) + np.diag(dx)
+    n = free.size
+    k = np.zeros((n + me, n + me))
+    k[:n, :n] = low + np.tril(low, -1).T + reg * np.eye(n)
+    k[n:, :n] = je.toarray()
+    k[:n, n:] = je.toarray().T
+    k[n:, n:] = -delta * np.eye(me)
+    return k, je, ji
+
+
+class TestFixedPatterns:
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12),
+           me=st.integers(0, 5), mi=st.integers(0, 8),
+           density=st.sampled_from([0.2, 0.5, 1.0]),
+           fixed_frac=st.floats(0.0, 0.5),
+           reg=st.sampled_from([0.0, 1e-4]),
+           delta=st.sampled_from([1e-9, 1e-2]))
+    def test_view_and_fill_match_scipy_assembly(self, seed, n, me, mi,
+                                                density, fixed_frac, reg,
+                                                delta):
+        """The view's gathers and K's scatter map give the matrix the
+        old slicing and scipy products gave, on two fills through one
+        pattern, the second after a re-layout."""
+        n_fixed = int(fixed_frac * n)
+        p, jacs, hessians = _view_problem(seed, n, me, mi, density, n_fixed)
+        view = _View(p)
+        free = view.free
+        row_max = abs(jacs[0][:, free]).max(axis=1).toarray().ravel()
+        with np.errstate(divide="ignore"):
+            s_c = np.minimum(1.0, 100.0 / row_max)
+        s_c[~np.isfinite(s_c)] = 1.0
+        assert np.array_equal(view.s_c, s_c)
+
+        rng = np.random.default_rng(seed)
+        kkt = None
+        for call in (1, 2):
+            je, ji = view.jacobian(view.x0)
+            h = view.hessian(view.x0, 1.0, np.zeros(me + mi))
+            dx = rng.uniform(0.0, 1.0, free.size) * (rng.random(free.size)
+                                                      < 0.5)
+            ds = rng.uniform(0.1, 10.0, mi)
+            if kkt is None:
+                kkt = _Kkt(view.h_rows, view.h_cols, ji, je)
+            kkt.fill(h, dx, ji.data, ds, je.data)
+            got = kkt.matrix(reg, delta).toarray()
+            want, je_old, ji_old = _old_kkt(jacs[call], hessians[call - 1],
+                                            free, s_c, dx, ds, me, reg,
+                                            delta)
+            if kkt.perm is not None:
+                at = kkt.perm[0]
+                want = want[at][:, at]
+            scale = max(1.0, float(np.max(np.abs(want))))
+            assert np.max(np.abs(got - want)) <= 1e-15 * scale
+            y = rng.standard_normal(me + mi)
+            v = rng.standard_normal(free.size)
+            assert np.array_equal(je.tdot(y[:me]), je_old.T @ y[:me])
+            assert np.array_equal(ji.tdot(y[me:]), ji_old.T @ y[me:])
+            # scipy's product leaves each row's columns in reverse order
+            assert np.array_equal(ji.dot(v), ji_old.sorted_indices() @ v)
+            kkt.reorder(rng.permutation(free.size + me))
+
+    def test_reordered_factor_matches_first(self):
+        """Laid out in its first minimum-degree order, K factors in its
+        natural order with the same fill and the same solution."""
+        h, dx, ji, ds, je = _kkt_blocks(3, 40, 12, 0.1)
+        h = h @ h.T + np.eye(40)
+        kkt = _kkt_lower(sp.csr_matrix(h), dx, sp.csr_matrix(ji), ds,
+                         sp.csr_matrix(je))
+        first = _SparseLdl(kkt, 0.0, 1e-2, 40, 12)
+        assert first.ok
+        kkt.reorder(first.lu.perm_c)
+        again = _SparseLdl(kkt, 0.0, 1e-2, 40, 12)
+        assert again.ok
+        assert np.array_equal(again.lu.perm_c, np.arange(52))
+        assert (again.lu.L.nnz + again.lu.U.nnz
+                == first.lu.L.nnz + first.lu.U.nnz)
+        rhs = np.random.default_rng(3).standard_normal(52)
+        sol = again.solve(rhs)
+        k = _dense_kkt(h, dx, ji, ds, je, 0.0, 1e-2)
+        assert np.max(np.abs(k @ sol - rhs)) <= 1e-10
+        np.testing.assert_allclose(sol, first.solve(rhs), rtol=1e-10,
+                                   atol=1e-12)
+
+
+class TestPatternContract:
+
+    def _counting(self, fn, later):
+        """fn on its first call, later on every call after."""
+        calls = []
+
+        def wrapped(*args):
+            calls.append(None)
+            return (fn if len(calls) == 1 else later)(*args)
+        return wrapped
+
+    def test_hessian_dropping_an_entry_raises(self):
+        p, _ = qp_inequality()
+        p.lagrangian_hessian = self._counting(
+            p.lagrangian_hessian,
+            lambda x, sigma, mult: sp.csr_matrix(([2.0 * sigma], ([0], [0])),
+                                                 shape=(2, 2)))
+        with pytest.raises(errors.DimensionMismatch,
+                           match="lagrangian_hessian"):
+            solve(p, TIGHT)
+
+    def test_jacobian_changing_pattern_raises(self):
+        p, _ = qp_inequality()
+        p.jacobian = self._counting(
+            p.jacobian,
+            lambda x: sp.csr_matrix(([1.0], ([0], [1])), shape=(1, 2)))
+        with pytest.raises(errors.DimensionMismatch, match="jacobian"):
+            solve(p, TIGHT)
+
+    def test_coo_and_unsorted_csr_are_canonicalized(self):
+        """A COO Hessian with duplicates and a CSR Jacobian with unsorted
+        indices solve exactly as their canonical forms do."""
+        p, _ = qp_inequality()
+        ref = solve(p, TIGHT)
+        p.lagrangian_hessian = lambda x, sigma, mult: sp.coo_matrix(
+            ([sigma, sigma, sigma, sigma], ([0, 1, 0, 1], [0, 1, 0, 1])),
+            shape=(2, 2))
+        p.jacobian = lambda x: sp.csr_matrix(
+            (np.array([1.0, 1.0]), np.array([1, 0]), np.array([0, 2])),
+            shape=(1, 2))
+        r = solve(p, TIGHT)
+        assert r.status == "Optimal"
+        assert np.array_equal(r.x, ref.x)
+        assert r.iterations == ref.iterations
 
 
 class TestIterationLog:
