@@ -15,9 +15,10 @@ linear two-stage coupling rows on generator set-points:
   mismatch), optionally also pinning VM at generator buses.
 * Scenario rows tie each scenario's base stage to the most probable
   scenario (ties to the lowest id) with a Pg box of the same 30-minute
-  width, regardless of mode.  The flat composite instead ties every
-  stage to the global base with contingency rows, so in preventive
-  mode it pins scenario bases too.
+  width, regardless of mode.  The flat composite has the same scenario
+  rows and differs only in where its contingency rows attach: every
+  post-contingency stage ties to the global base instead of its
+  scenario's base.
 
 The composite constraint vector is [stage equalities..., pins,
 stage inequalities..., boxes]; coupling rows always read
@@ -221,11 +222,12 @@ class _Builder:
             self.rows.append(CouplingRow(kind, child, base, gp, None, bound,
                                          -1, False))
 
-    def mode_rows(self, child: int, base: int, mode: CouplingMode,
-                  box_kind: str, scale: float) -> None:
-        """A box of the given kind in corrective mode, else pins."""
+    def contingency_rows(self, child: int, base: int,
+                         mode: CouplingMode) -> None:
+        """A contingency box in corrective mode, else pins."""
         if mode.kind == CORRECTIVE:
-            self.box_rows(box_kind, child, base, scale)
+            self.box_rows(CONTINGENCY_BOX, child, base,
+                          mode.contingency_scale)
             return
         base_case = self.specs[base].case
         live = _live_both(self.specs[child].case, base_case)
@@ -288,8 +290,7 @@ def compose_general(scenarios: ScenarioSet | None,
                 b.box_rows(RAMP, at(s, c, t), at(s, c, t - 1),
                            dt_minutes / 30.0)
         for c in range(1, n_c):
-            b.mode_rows(at(s, c, 0), at(s, 0, 0), mode, CONTINGENCY_BOX,
-                        mode.contingency_scale)
+            b.contingency_rows(at(s, c, 0), at(s, 0, 0), mode)
         if s > 0:
             b.box_rows(SCENARIO_BOX, at(s, 0, 0), at(0, 0, 0),
                        mode.scenario_scale)
@@ -325,13 +326,15 @@ def compose_sopf_full(base: NetworkCase, scenarios: ScenarioSet,
 def compose_sopf_flat(base: NetworkCase, scenarios: ScenarioSet,
                       ctgs: ContingencySet | None, mode: CouplingMode):
     """Flattened stochastic composite: all (scenario, contingency)
-    stages couple directly to the most probable scenario's base stage."""
+    stages couple directly to the most probable scenario's base stage,
+    contingency stages by contingency rows and scenario bases by the
+    scenario boxes of the lattice."""
     lattice = build_lattice(scenarios, ctgs, [base], 30.0)
     n_s, n_c, _ = lattice.shape
     b = _Builder(f"flat(ns={n_s},nc={n_c - 1})", lattice)
     for k in range(1, len(lattice.stages)):
         if k % n_c:
-            b.mode_rows(k, 0, mode, CONTINGENCY_BOX, mode.contingency_scale)
+            b.contingency_rows(k, 0, mode)
         else:
-            b.mode_rows(k, 0, mode, SCENARIO_BOX, mode.scenario_scale)
+            b.box_rows(SCENARIO_BOX, k, 0, mode.scenario_scale)
     return b.assemble()

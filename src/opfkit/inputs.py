@@ -7,9 +7,10 @@ Three small line formats, all UTF-8:
   BRANCH, ``#`` comments, optional header; lines sharing an id merge
   into one multi-outage contingency.
 * scenario CSV: header ``scenario,weight,wind_<bus>_<ordinal>,...``;
-  wind cells are available power targets in MW.
+  wind cells are available power targets in MW, finite and >= 0.
 * load profile: two CSVs (P in MW, Q in MVAr) with header
-  ``time_min,<busid>,...`` and identical time columns.
+  ``time_min,<busid>,...`` and identical time columns; every cell is
+  a finite number (loads may be negative).
 
 Parsing is pure and raises on any malformed content; element existence
 against a particular network is checked later at application time.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import re
 from dataclasses import dataclass
 
@@ -150,6 +152,18 @@ def parse_contingencies_file(path) -> ContingencySet:
         return parse_contingencies(fh.read())
 
 
+def _finite_cells(cells: list[str], where: str) -> list[float]:
+    """Numbers of a CSV row; a cell that is not a finite number raises
+    NonNumericCell naming where it is."""
+    try:
+        values = [float(c) for c in cells]
+    except ValueError:
+        raise NonNumericCell(f"{where} has a non-numeric cell") from None
+    if not all(map(math.isfinite, values)):
+        raise NonNumericCell(f"{where} has a cell that is not finite")
+    return values
+
+
 def _csv_rows(text: str) -> list[list[str]]:
     rows = csv.reader(io.StringIO(text))
     return [[c.strip() for c in row] for row in rows
@@ -184,12 +198,15 @@ def parse_scenarios(text: str) -> ScenarioSet:
         try:
             sid = int(row[0])
             weight = float(row[1])
-            winds = [float(c) for c in row[2:]]
         except ValueError:
             raise NonNumericCell(f"scenario row {rowno} has a non-numeric cell") from None
+        winds = _finite_cells(row[2:], f"scenario row {rowno}")
         if not weight >= 0.0 or weight != weight or weight == float("inf"):
             raise NegativeWeight(
                 f"scenario {sid} weight {row[1]} must be finite and >= 0")
+        if any(w < 0.0 for w in winds):
+            raise MalformedLine(
+                f"scenario row {rowno}: a wind target is negative")
         if sid in seen_ids:
             raise MalformedLine(f"duplicate scenario id {sid}")
         seen_ids.add(sid)
@@ -226,10 +243,7 @@ def _load_table(text: str, label: str):
             raise MalformedLine(
                 f"{label} row {rowno} has {len(row)} cells, "
                 f"expected {len(header)}")
-        try:
-            cells = [float(c) for c in row]
-        except ValueError:
-            raise NonNumericCell(f"{label} row {rowno} has a non-numeric cell") from None
+        cells = _finite_cells(row, f"{label} row {rowno}")
         if times and cells[0] <= times[-1]:
             raise MalformedLine(
                 f"{label} row {rowno}: time {cells[0]} not increasing")

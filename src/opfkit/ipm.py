@@ -1,7 +1,10 @@
 """Primal-dual interior-point solver for smooth sparse NLPs.
 
-Inequalities gl <= c_i(x) <= gu receive slack variables; finite
-variable and slack bounds receive log barriers.  Each iteration takes
+Inequalities gl <= c_i(x) <= gu receive slack variables s.  The
+bounds of the stacked primal (x, s) form one lower side [xl; gl] and
+one upper side [xu; gu], each with one gap and one multiplier vector
+of length n + m_ineq, and every finite entry of either side receives a
+log barrier.  Each iteration takes
 one Newton step on the perturbed KKT system, condensed to the
 symmetric indefinite form
 
@@ -442,30 +445,24 @@ class _Ipm:
         self.n = v.n
         self.me = problem.m_eq
         self.mi = problem.m_ineq
-        self.gl = v.gl
-        self.gu = v.gu
-        self.fxl = np.isfinite(v.xl)
-        self.fxu = np.isfinite(v.xu)
-        self.fsl = np.isfinite(self.gl)
-        self.fsu = np.isfinite(self.gu)
+        # bounds of the stacked primal (x, s) and their finite sides
+        self.lo = np.concatenate([v.xl, v.gl])
+        self.hi = np.concatenate([v.xu, v.gu])
+        self.fl = np.isfinite(self.lo)
+        self.fu = np.isfinite(self.hi)
         # multiplier maps back to original units
         self.u_eq = v.s_c[:self.me] / v.s_f
         self.u_in = v.s_c[self.me:] / v.s_f
         self.log: list[IterationRecord] = []
 
-    # gap helpers (finite sides only; infinite sides report +inf)
-    def _gaps(self, x, s):
-        gxl = np.where(self.fxl, x - self.view.xl, np.inf)
-        gxu = np.where(self.fxu, self.view.xu - x, np.inf)
-        gsl = np.where(self.fsl, s - self.gl, np.inf)
-        gsu = np.where(self.fsu, self.gu - s, np.inf)
-        return gxl, gxu, gsl, gsu
+    def _gaps(self, xs):
+        """Lower and upper gaps of (x, s); infinite sides report +inf."""
+        return (np.where(self.fl, xs - self.lo, np.inf),
+                np.where(self.fu, self.hi - xs, np.inf))
 
-    def _barrier(self, x, s):
-        gxl, gxu, gsl, gsu = self._gaps(x, s)
+    def _barrier(self, xs):
         terms = 0.0
-        for gap, mask in ((gxl, self.fxl), (gxu, self.fxu),
-                          (gsl, self.fsl), (gsu, self.fsu)):
+        for gap, mask in zip(self._gaps(xs), (self.fl, self.fu)):
             g = gap[mask]
             if g.size:
                 if np.any(g <= 0.0):
@@ -473,15 +470,16 @@ class _Ipm:
                 terms -= float(np.sum(np.log(g)))
         return terms
 
-    def _merit(self, x, s, mu, nu, c=None):
+    def _merit(self, xs, mu, nu, c=None):
         """Merit at (x, s); c is the scaled constraint vector at x when
         already evaluated."""
+        x, s = xs[:self.n], xs[self.n:]
         if c is None:
             c = self.view.constraints(x)
         ce, ci = c[:self.me], c[self.me:]
         viol = (float(np.sum(np.abs(ce))) +
                 float(np.sum(np.abs(ci - s))))
-        bar = self._barrier(x, s)
+        bar = self._barrier(xs)
         if not np.isfinite(bar):
             return np.inf
         return self.view.objective(x) + mu * bar + nu * viol
@@ -489,20 +487,19 @@ class _Ipm:
     def solve(self) -> SolveResult:
         opt, v = self.opt, self.view
         n, me, mi = self.n, self.me, self.mi
+        fl, fu = self.fl, self.fu
         mu_min = opt.tol / 10.0
         s_f = v.s_f
 
         x = _push_interior(v.x0, v.xl, v.xu)
         ci0 = self.view.constraints(x)[me:]
-        s = _push_interior(ci0, self.gl, self.gu)
+        xs = np.concatenate([x, _push_interior(ci0, v.gl, v.gu)])
         lam_e = np.zeros(me)
         lam_i = np.zeros(mi)
         mu = opt.mu0
-        gxl, gxu, gsl, gsu = self._gaps(x, s)
-        zxl = np.where(self.fxl, np.clip(mu / gxl, 1e-6, 1e3), 0.0)
-        zxu = np.where(self.fxu, np.clip(mu / gxu, 1e-6, 1e3), 0.0)
-        zsl = np.where(self.fsl, np.clip(mu / gsl, 1e-6, 1e3), 0.0)
-        zsu = np.where(self.fsu, np.clip(mu / gsu, 1e-6, 1e3), 0.0)
+        gap_l, gap_u = self._gaps(xs)
+        zl = np.where(fl, np.clip(mu / gap_l, 1e-6, 1e3), 0.0)
+        zu = np.where(fu, np.clip(mu / gap_u, 1e-6, 1e3), 0.0)
         nu = 1.0
         best_feas = np.inf
         stall = 0
@@ -513,34 +510,33 @@ class _Ipm:
         kkt = None
 
         while it < opt.max_iter:
+            x, s = xs[:n], xs[n:]
             g = v.gradient(x)
             c = v.constraints(x)
             ce, ci = c[:me], c[me:]
             je, ji = v.jacobian(x)
             ri = ci - s
-            gxl, gxu, gsl, gsu = self._gaps(x, s)
+            gap_l, gap_u = self._gaps(xs)
 
             jt_lam_e = je.tdot(lam_e)
             jt_lam_i = ji.tdot(lam_i)
-            rx = g - zxl + zxu
+            r = np.concatenate([g, -lam_i]) - zl + zu
+            rx, rs = r[:n], r[n:]
             if me:
                 rx = rx + jt_lam_e
             if mi:
                 rx = rx + jt_lam_i
-            rs = -lam_i - zsl + zsu
 
             # scaled-space residuals drive the barrier schedule
-            mults = [lam_e, lam_i, zxl, zxu, zsl, zsu]
-            mult_inf = max((float(np.max(np.abs(m))) for m in mults
-                            if m.size), default=0.0)
+            mult_inf = max((float(np.max(np.abs(m)))
+                            for m in (lam_e, lam_i, zl, zu) if m.size),
+                           default=0.0)
             sd = max(1.0, mult_inf / 100.0)
             stat_s = max(float(np.max(np.abs(rx))) if n else 0.0,
                          float(np.max(np.abs(rs))) if mi else 0.0) / sd
             feas_s = max(float(np.max(np.abs(ce))) if me else 0.0,
                          float(np.max(np.abs(ri))) if mi else 0.0)
-            prods = np.concatenate([
-                gxl[self.fxl] * zxl[self.fxl], gxu[self.fxu] * zxu[self.fxu],
-                gsl[self.fsl] * zsl[self.fsl], gsu[self.fsu] * zsu[self.fsu]])
+            prods = np.concatenate([gap_l[fl] * zl[fl], gap_u[fu] * zu[fu]])
 
             def comp_s(mu_val):
                 if not prods.size:
@@ -550,9 +546,10 @@ class _Ipm:
             # original-unit residuals decide termination and reporting
             mult_inf_u = max(
                 float(np.max(np.abs(lam_e * self.u_eq))) if me else 0.0,
-                float(np.max(np.abs((zsu - zsl) * self.u_in))) if mi else 0.0,
-                float(np.max(np.abs(zxl / s_f))) if n else 0.0,
-                float(np.max(np.abs(zxu / s_f))) if n else 0.0)
+                float(np.max(np.abs((zu[n:] - zl[n:]) * self.u_in)))
+                if mi else 0.0,
+                float(np.max(np.abs(zl[:n] / s_f))) if n else 0.0,
+                float(np.max(np.abs(zu[:n] / s_f))) if n else 0.0)
             sd_u = max(1.0, mult_inf_u / 100.0)
             stat_u = max(
                 float(np.max(np.abs(rx))) / s_f if n else 0.0,
@@ -564,7 +561,7 @@ class _Ipm:
                       if prods.size else 0.0)
             kkt_out = (stat_u, feas_u, comp_u)
             if max(kkt_out) <= opt.tol:
-                check = self._kkt_original(x, lam_e, zxl, zxu, zsl, zsu)
+                check = self._kkt_original(x, lam_e, zl, zu)
                 if max(check) <= opt.tol:
                     kkt_out = check
                     status = OPTIMAL
@@ -588,24 +585,23 @@ class _Ipm:
 
             # Newton system
             hess = v.hessian(x, 1.0, np.concatenate([lam_e, lam_i]))
-            dx_diag = (np.where(self.fxl, zxl / gxl, 0.0)
-                       + np.where(self.fxu, zxu / gxu, 0.0))
-            ds_diag = (np.where(self.fsl, zsl / gsl, 0.0)
-                       + np.where(self.fsu, zsu / gsu, 0.0))
+            sigma_l = np.where(fl, zl / gap_l, 0.0)
+            sigma_u = np.where(fu, zu / gap_u, 0.0)
+            dx_diag, ds_diag = np.split(sigma_l + sigma_u, [n])
             if kkt is None:
                 kkt = _Kkt(v.h_rows, v.h_cols, ji, je)
             kkt.fill(hess, dx_diag, ji.data, ds_diag, je.data)
 
-            mu_xl = np.where(self.fxl, mu / gxl, 0.0)
-            mu_xu = np.where(self.fxu, mu / gxu, 0.0)
-            mu_sl = np.where(self.fsl, mu / gsl, 0.0)
-            mu_su = np.where(self.fsu, mu / gsu, 0.0)
-            phi_x = g - mu_xl + mu_xu
+            mu_l = np.where(fl, mu / gap_l, 0.0)
+            mu_u = np.where(fu, mu / gap_u, 0.0)
+            # barrier gradient over (x, s); phi adds the multiplier terms
+            gbar = np.concatenate([g, np.zeros(mi)]) - mu_l + mu_u
+            phi_x = gbar[:n]
             if me:
                 phi_x = phi_x + jt_lam_e
             if mi:
                 phi_x = phi_x + jt_lam_i
-            phi_s = lam_i + mu_sl - mu_su
+            phi_s = lam_i + mu_l[n:] - mu_u[n:]
 
             reg, delta = 0.0, _DELTA0
             fact = None
@@ -629,38 +625,29 @@ class _Ipm:
                 kkt.reorder(fact.lu.perm_c)
 
             def recover(ri_rhs, ce_rhs):
-                """Direction from the current factorization for the given
-                constraint residuals (plain Newton or second-order
-                correction)."""
-                r1 = -phi_x
-                if mi:
-                    r1 = r1 - ji.tdot(ds_diag * ri_rhs - phi_s)
+                """Step (dx, ds) and dlam_e from the current factorization
+                for the given constraint residuals (plain Newton or
+                second-order correction)."""
+                r1 = -phi_x - ji.tdot(ds_diag * ri_rhs - phi_s)
                 sol = fact.solve(np.concatenate([r1, -ce_rhs]))
                 dx = sol[:n]
-                ds = ri_rhs.copy()
-                if mi:
-                    ds = ds + ji.dot(dx)
-                return dx, sol[n:], ds
+                return np.concatenate([dx, ri_rhs + ji.dot(dx)]), sol[n:]
 
-            def dual_steps(dx, ds):
-                dlam_i = ds_diag * ds - phi_s
-                dzxl = np.where(self.fxl, mu_xl - zxl - (zxl / gxl) * dx, 0.0)
-                dzxu = np.where(self.fxu, mu_xu - zxu + (zxu / gxu) * dx, 0.0)
-                dzsl = np.where(self.fsl, mu_sl - zsl - (zsl / gsl) * ds, 0.0)
-                dzsu = np.where(self.fsu, mu_su - zsu + (zsu / gsu) * ds, 0.0)
-                return dlam_i, dzxl, dzxu, dzsl, dzsu
+            def dual_steps(d):
+                dlam_i = ds_diag * d[n:] - phi_s
+                dzl = np.where(fl, mu_l - zl - sigma_l * d, 0.0)
+                dzu = np.where(fu, mu_u - zu + sigma_u * d, 0.0)
+                return dlam_i, dzl, dzu
 
             tau = max(opt.tau_min, 1.0 - mu)
 
-            def primal_max(dx, ds):
-                return min(_max_step(gxl[self.fxl], dx[self.fxl], tau),
-                           _max_step(gxu[self.fxu], -dx[self.fxu], tau),
-                           _max_step(gsl[self.fsl], ds[self.fsl], tau),
-                           _max_step(gsu[self.fsu], -ds[self.fsu], tau))
+            def primal_max(d):
+                return min(_max_step(gap_l[fl], d[fl], tau),
+                           _max_step(gap_u[fu], -d[fu], tau))
 
-            dx, dlam_e, ds = recover(ri, ce)
-            dlam_i, dzxl, dzxu, dzsl, dzsu = dual_steps(dx, ds)
-            a_p = primal_max(dx, ds)
+            d, dlam_e = recover(ri, ce)
+            dlam_i, dzl, dzu = dual_steps(d)
+            a_p = primal_max(d)
 
             # exact-penalty parameter: above the multiplier norms, cooled
             # when they shrink
@@ -673,19 +660,17 @@ class _Ipm:
             elif nu_req < 0.25 * nu:
                 nu = max(nu_req, 0.5 * nu)
 
-            gbar_x = g - mu_xl + mu_xu
-            gbar_s = -mu_sl + mu_su
             viol1 = (float(np.sum(np.abs(ce)))
                      + float(np.sum(np.abs(ri))))
-            descent = (float(gbar_x @ dx) + float(gbar_s @ ds)
+            descent = (float(gbar[:n] @ d[:n]) + float(gbar[n:] @ d[n:])
                        - nu * viol1)
 
-            merit0 = self._merit(x, s, mu, nu, c)
+            merit0 = self._merit(xs, mu, nu, c)
             alpha = a_p
             accepted = False
             soc_left = 1
             while alpha >= _STEP_MIN:
-                trial = self._merit(x + alpha * dx, s + alpha * ds, mu, nu)
+                trial = self._merit(xs + alpha * d, mu, nu)
                 if trial <= merit0 + 1e-4 * alpha * min(descent, 0.0):
                     accepted = True
                     break
@@ -693,14 +678,14 @@ class _Ipm:
                     # second-order correction: same factorization, residuals
                     # re-evaluated at the rejected full step
                     soc_left -= 1
-                    c_t = v.constraints(x + alpha * dx)
-                    ri_soc = c_t[me:] - (s + alpha * ds)
-                    dx2, dlam_e2, ds2 = recover(ri_soc, c_t[:me])
-                    a2 = primal_max(dx2, ds2)
-                    trial2 = self._merit(x + a2 * dx2, s + a2 * ds2, mu, nu)
+                    xs_t = xs + alpha * d
+                    c_t = v.constraints(xs_t[:n])
+                    d2, dlam_e2 = recover(c_t[me:] - xs_t[n:], c_t[:me])
+                    a2 = primal_max(d2)
+                    trial2 = self._merit(xs + a2 * d2, mu, nu)
                     if trial2 <= merit0 + 1e-4 * a2 * min(descent, 0.0):
-                        dx, dlam_e, ds = dx2, dlam_e2, ds2
-                        dlam_i, dzxl, dzxu, dzsl, dzsu = dual_steps(dx2, ds2)
+                        d, dlam_e = d2, dlam_e2
+                        dlam_i, dzl, dzu = dual_steps(d2)
                         alpha = a_p = a2
                         accepted = True
                         break
@@ -717,75 +702,58 @@ class _Ipm:
                     message = "line search step below minimum"
                 break
 
-            a_d = min(_max_step(zxl[self.fxl], dzxl[self.fxl], tau),
-                      _max_step(zxu[self.fxu], dzxu[self.fxu], tau),
-                      _max_step(zsl[self.fsl], dzsl[self.fsl], tau),
-                      _max_step(zsu[self.fsu], dzsu[self.fsu], tau))
+            a_d = min(_max_step(zl[fl], dzl[fl], tau),
+                      _max_step(zu[fu], dzu[fu], tau))
 
-            x = x + alpha * dx
-            s = s + alpha * ds
+            xs = xs + alpha * d
             lam_e = lam_e + alpha * dlam_e
             lam_i = lam_i + alpha * dlam_i
-            zxl = zxl + a_d * dzxl
-            zxu = zxu + a_d * dzxu
-            zsl = zsl + a_d * dzsl
-            zsu = zsu + a_d * dzsu
+            zl = zl + a_d * dzl
+            zu = zu + a_d * dzu
 
             # keep z within kappa_sigma of mu / gap
-            gxl, gxu, gsl, gsu = self._gaps(x, s)
-            for z, gap, fin in ((zxl, gxl, self.fxl), (zxu, gxu, self.fxu),
-                                (zsl, gsl, self.fsl), (zsu, gsu, self.fsu)):
+            gap_l, gap_u = self._gaps(xs)
+            for z, gap, fin in ((zl, gap_l, fl), (zu, gap_u, fu)):
                 if np.any(fin):
-                    lo = mu / (_KAPPA_SIGMA * gap[fin])
-                    hi = (_KAPPA_SIGMA * mu) / gap[fin]
-                    z[fin] = np.clip(z[fin], lo, hi)
+                    z[fin] = np.clip(z[fin], mu / (_KAPPA_SIGMA * gap[fin]),
+                                     (_KAPPA_SIGMA * mu) / gap[fin])
 
             it += 1
-            min_slack = float(np.min(np.concatenate(
-                [gsl[self.fsl], gsu[self.fsu]]))) if mi else np.inf
-            min_bound = float(np.min(np.concatenate(
-                [gxl[self.fxl], gxu[self.fxu]]))) if (self.fxl.any()
-                                                      or self.fxu.any()) else np.inf
+            # infinite sides read +inf, so they never set a minimum
+            gap_min = np.minimum(gap_l, gap_u)
             self.log.append(IterationRecord(
                 it=it, mu=mu, nu=nu, merit=merit0,
                 stationarity=stat_u, feasibility=feas_u,
                 complementarity=comp_u, alpha_primal=alpha,
-                alpha_dual=a_d, reg=reg, min_slack_gap=min_slack,
-                min_bound_gap=min_bound))
+                alpha_dual=a_d, reg=reg,
+                min_slack_gap=float(np.min(gap_min[n:], initial=np.inf)),
+                min_bound_gap=float(np.min(gap_min[:n], initial=np.inf))))
 
+        full_x = v.lift(xs[:n])
         if status != OPTIMAL:
-            kkt_out = self._kkt_original(x, lam_e, zxl, zxu, zsl, zsu)
-        self._state = {"x": x, "s": s, "lam_e": lam_e, "lam_i": lam_i,
-                       "zxl": zxl, "zxu": zxu, "zsl": zsl, "zsu": zsu,
-                       "mu": mu, "nu": nu}
-        return self._result(status, message, x, lam_e, zxl, zxu,
-                            zsl, zsu, kkt_out, it)
-
-    def _kkt_original(self, x, lam_e, zxl, zxu, zsl, zsu):
-        """Unperturbed KKT error of the original problem at the mapped
-        multipliers; this is what Optimal certifies."""
-        v = self.view
-        z_lb = np.zeros(self.p.n)
-        z_ub = np.zeros(self.p.n)
-        z_lb[v.free] = zxl / v.s_f
-        z_ub[v.free] = zxu / v.s_f
-        return kkt_error(self.p, v.lift(x), lam_e * self.u_eq,
-                         (zsu - zsl) * self.u_in, z_lb, z_ub)
-
-    def _result(self, status, message, x, lam_e, zxl, zxu,
-                zsl, zsu, kkt, it) -> SolveResult:
-        v = self.view
-        full_x = v.lift(x)
-        z_lb = np.zeros(self.p.n)
-        z_ub = np.zeros(self.p.n)
-        z_lb[v.free] = zxl / v.s_f
-        z_ub[v.free] = zxu / v.s_f
+            kkt_out = self._kkt_original(xs[:n], lam_e, zl, zu)
         return SolveResult(
             status=status, x=full_x, objective=self.p.objective(full_x),
-            lambda_eq=lam_e * self.u_eq,
-            lambda_ineq=(zsu - zsl) * self.u_in,
-            z_lb=z_lb, z_ub=z_ub,
-            kkt=kkt, iterations=it, iter_log=self.log, message=message)
+            **self._multipliers(lam_e, zl, zu),
+            kkt=kkt_out, iterations=it, iter_log=self.log, message=message)
+
+    def _multipliers(self, lam_e, zl, zu) -> dict[str, np.ndarray]:
+        """Multipliers in original units, keyed as in SolveResult; fixed
+        variables report zero bound multipliers."""
+        v, n = self.view, self.n
+        z_lb = np.zeros(self.p.n)
+        z_ub = np.zeros(self.p.n)
+        z_lb[v.free] = zl[:n] / v.s_f
+        z_ub[v.free] = zu[:n] / v.s_f
+        return {"lambda_eq": lam_e * self.u_eq,
+                "lambda_ineq": (zu[n:] - zl[n:]) * self.u_in,
+                "z_lb": z_lb, "z_ub": z_ub}
+
+    def _kkt_original(self, x, lam_e, zl, zu):
+        """Unperturbed KKT error of the original problem at the mapped
+        multipliers; this is what Optimal certifies."""
+        return kkt_error(self.p, self.view.lift(x),
+                         **self._multipliers(lam_e, zl, zu))
 
 
 def solve(problem: NlpProblem, options: SolverOptions | None = None) -> SolveResult:

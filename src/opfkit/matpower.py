@@ -22,6 +22,7 @@ columns survive a parse/format round trip verbatim.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -84,9 +85,20 @@ def _parse_matrix(body: str, section: str, min_cols: int, first_line: int) -> Ro
     return tuple(rows)
 
 
+def int_cell(section: str, i: int, row: tuple[float, ...], col: int) -> int:
+    """Integer code in column col of row i (0-based) of a section; a
+    value that is not finite raises MalformedRow."""
+    value = row[col]
+    if not math.isfinite(value):
+        raise MalformedRow(f"mpc.{section} row {i + 1}: column {col + 1} "
+                           f"is {value}, need an integer code")
+    return int(value)
+
+
 def _check_gencost(rows: Rows, first_line: int) -> None:
     for i, row in enumerate(rows):
-        model, ncost = int(row[0]), int(row[3])
+        model = int_cell("gencost", i, row, 0)
+        ncost = int_cell("gencost", i, row, 3)
         if model != 2:
             raise UnsupportedCostModel(
                 f"gencost row {i + 1}: model {model} (only polynomial model 2)"
@@ -150,7 +162,9 @@ def parse_case_file(path: str) -> RawCase:
 
 def _fmt(value: float) -> str:
     # 10 significant digits: enough for 1e-9 relative round-trip fidelity.
-    return "%.10g" % value
+    # Near the largest double they would round up past it and read back
+    # as inf, so magnitudes from 1e308 keep all 17.
+    return "%.10g" % value if abs(value) < 1e308 else repr(float(value))
 
 
 def _fmt_matrix(section: str, rows: Rows) -> str:

@@ -14,10 +14,12 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from . import matpower
+from .matpower import int_cell
 from .errors import (
     DanglingReference,
     IndexOutOfRange,
     IslandingDetected,
+    MissingSection,
     NoReferenceBus,
     TargetOnNonWind,
     UnknownBus,
@@ -153,39 +155,47 @@ class NetworkCase:
             gen=gen_rows, branch=branch_rows, gencost=tuple(cost_rows))
 
 
-def _gen_from_row(row: tuple[float, ...], cost_row: tuple[float, ...]) -> Generator:
+def _gen_from_row(i: int, row: tuple[float, ...],
+                  cost_row: tuple[float, ...]) -> Generator:
     tail = row[10:]
     # 1-indexed gen column 18 carries the 30-minute ramp: tail position 7.
     ramp_30 = tail[7] if len(tail) > 7 else 0.0
-    ncost = int(cost_row[3])
+    ncost = int_cell("gencost", i, cost_row, 3)
     coeffs = cost_row[4:4 + ncost]
     padded = (0.0,) * (3 - ncost) + tuple(coeffs)
     cost = GenCost(c2=padded[0], c1=padded[1], c0=padded[2],
                    startup=cost_row[1], shutdown=cost_row[2], ncost=ncost)
     pmin = row[9]
     return Generator(
-        bus=int(row[0]), pg=row[1], qg=row[2], qmax=row[3], qmin=row[4],
-        vg=row[5], mbase=row[6], status=int(row[7]), pmax=row[8],
-        pmin=pmin, ramp_30=ramp_30, cost=cost,
+        bus=int_cell("gen", i, row, 0), pg=row[1], qg=row[2],
+        qmax=row[3], qmin=row[4], vg=row[5], mbase=row[6],
+        status=int_cell("gen", i, row, 7), pmax=row[8], pmin=pmin,
+        ramp_30=ramp_30, cost=cost,
         is_wind=cost.is_zero() and pmin == 0.0, tail=tail)
 
 
 def from_raw(raw: matpower.RawCase) -> NetworkCase:
     """Build the typed model; degree fields become radians.
 
-    Raises DanglingReference, NoReferenceBus or ZeroImpedance.
+    Raises MalformedRow (an integer code that is not finite),
+    MissingSection (fewer gencost rows than generators),
+    DanglingReference, NoReferenceBus or ZeroImpedance.
     """
+    if len(raw.gencost) < len(raw.gen):
+        raise MissingSection(f"mpc.gencost has {len(raw.gencost)} rows for "
+                             f"{len(raw.gen)} generators")
     buses = tuple(
-        Bus(id=int(r[0]), btype=int(r[1]), pd=r[2], qd=r[3], gs=r[4],
-            bs=r[5], area=int(r[6]), vm=r[7], va=math.radians(r[8]),
-            base_kv=r[9], zone=int(r[10]), vmax=r[11], vmin=r[12],
-            extra=r[13:])
-        for r in raw.bus)
+        Bus(id=int_cell("bus", i, r, 0), btype=int_cell("bus", i, r, 1),
+            pd=r[2], qd=r[3], gs=r[4], bs=r[5],
+            area=int_cell("bus", i, r, 6), vm=r[7], va=math.radians(r[8]),
+            base_kv=r[9], zone=int_cell("bus", i, r, 10), vmax=r[11],
+            vmin=r[12], extra=r[13:])
+        for i, r in enumerate(raw.bus))
     ids = {b.id for b in buses}
     if not any(b.btype == REF for b in buses):
         raise NoReferenceBus(f"case {raw.name!r} has no type-3 bus")
 
-    gens = tuple(_gen_from_row(row, raw.gencost[i])
+    gens = tuple(_gen_from_row(i, row, raw.gencost[i])
                  for i, row in enumerate(raw.gen))
     for i, g in enumerate(gens):
         if g.bus not in ids:
@@ -193,9 +203,11 @@ def from_raw(raw: matpower.RawCase) -> NetworkCase:
 
     branches = []
     for i, r in enumerate(raw.branch):
-        br = Branch(fbus=int(r[0]), tbus=int(r[1]), r=r[2], x=r[3], b=r[4],
+        br = Branch(fbus=int_cell("branch", i, r, 0),
+                    tbus=int_cell("branch", i, r, 1), r=r[2], x=r[3], b=r[4],
                     rate_a=r[5], rate_b=r[6], rate_c=r[7], ratio=r[8],
-                    angle=math.radians(r[9]), status=int(r[10]),
+                    angle=math.radians(r[9]),
+                    status=int_cell("branch", i, r, 10),
                     angmin=r[11], angmax=r[12], extra=r[13:])
         if br.fbus not in ids or br.tbus not in ids:
             raise DanglingReference(

@@ -117,6 +117,45 @@ def qp_active_bound():
     return p, {"x": np.array([2.0]), "z_lb": np.array([2.0])}
 
 
+def qp_bound_sides():
+    """min (x1-3)^2 + x2^2 + x3^2 + (x4+1/2)^2
+    s.t.  x1 <= 1,  x2 + x3 >= 2,  -1 <= x2 - x3 + x4 <= 1,  x4 free.
+
+    x* = (1, 1, 1, -1/2).  The upper bound on x1 is active with
+    z_ub* = 4; the row x2 + x3 sits on its finite lower bound, so
+    lambda* = -2 (negative on the lower side); the ranged row reads
+    -1/2 and is inactive, lambda* = 0.
+    """
+
+    def objective(x):
+        return ((x[0] - 3.0) ** 2 + x[1] ** 2 + x[2] ** 2
+                + (x[3] + 0.5) ** 2)
+
+    def gradient(x):
+        return 2.0 * (x - np.array([3.0, 0.0, 0.0, -0.5]))
+
+    def constraints(x):
+        return np.array([x[1] + x[2], x[1] - x[2] + x[3]])
+
+    def jacobian(x):
+        return _csr([[0.0, 1.0, 1.0, 0.0], [0.0, 1.0, -1.0, 1.0]], (2, 4))
+
+    def hessian(x, obj_factor, mult):
+        return sp.csr_matrix(2.0 * obj_factor * np.eye(4))
+
+    p = NlpProblem(
+        n=4, m_eq=0, m_ineq=2,
+        xl=np.full(4, -_INF), xu=np.array([1.0, _INF, _INF, _INF]),
+        gl=np.array([2.0, -1.0]), gu=np.array([_INF, 1.0]),
+        x0=np.zeros(4),
+        objective=objective, gradient=gradient, constraints=constraints,
+        jacobian=jacobian, lagrangian_hessian=hessian,
+        name="qp-bound-sides")
+    return p, {"x": np.array([1.0, 1.0, 1.0, -0.5]),
+               "z_ub": np.array([4.0, 0.0, 0.0, 0.0]),
+               "lambda_ineq": np.array([-2.0, 0.0])}
+
+
 def infeasible_box():
     """min x^2  s.t.  x = 0  with bound x >= 1.  No feasible point."""
 

@@ -166,6 +166,26 @@ class TestEntry:
         assert code == cli.EXIT_USAGE
         assert "error:" in capsys.readouterr().err
 
+    def test_non_finite_cost_code_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.m"
+        with open(NET, encoding="utf-8") as fh:
+            bad.write_text(fh.read().replace("2\t0\t0\t3\t0\t0\t0;",
+                                             "2\t0\t0\tinf\t0\t0\t0;"))
+        code = cli.entry(["opflow", "--netfile", str(bad),
+                          "--outdir", str(tmp_path / "out")])
+        assert code == cli.EXIT_USAGE
+        assert "gencost row 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pcell,qcell", [("nan", "30"), ("30", "inf")])
+    def test_non_finite_load_exits_2(self, tmp_path, capsys, pcell, qcell):
+        p, q = tmp_path / "p.csv", tmp_path / "q.csv"
+        p.write_text(f"time_min,5\n0,{pcell}\n")
+        q.write_text(f"time_min,5\n0,{qcell}\n")
+        code = cli.entry(["tcopflow", "--netfile", NET, "--pload", str(p),
+                          "--qload", str(q), "--outdir", str(tmp_path / "o")])
+        assert code == cli.EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
+
     def test_usage_error_propagates_argparse_exit(self):
         with pytest.raises(SystemExit) as exc:
             cli.entry(["opflow"])

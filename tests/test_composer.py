@@ -22,6 +22,7 @@ from opfkit import (
     compose_scopf,
     compose_sopf_flat,
     compose_sopf_full,
+    declare_wind,
     errors,
     extract_solution,
     parse_contingencies_file,
@@ -418,6 +419,23 @@ class TestCoupledSolves:
         rp = solve(pp, SolverOptions())
         assert rc.status == rp.status == "Optimal"
         assert rp.objective >= rc.objective - 1e-6 * abs(rc.objective)
+
+    def test_flat_preventive_keeps_scenario_boxes(self, case9, scens, ctgs):
+        """Flat differs from the lattice only where its contingency rows
+        attach: scenario bases keep their boxes in preventive mode, so
+        each scenario's wind unit may reach its own cap."""
+        p, imap = compose_sopf_flat(declare_wind(case9, scens.wind_keys()),
+                                    scens, ctgs, PREV)
+        n_c = len(ctgs.by_id()) + 1
+        rows = [r for r in imap.coupling_rows
+                if (r.stage_a, r.stage_b) == (n_c, 0)]
+        assert [r.kind for r in rows] == [SCENARIO_BOX] * 3
+        r = solve(p, SolverOptions())
+        assert r.status == "Optimal"
+        wind = [extract_solution(imap.stages[k].case, imap.layouts[k],
+                                 stage_x(imap, r.x, k)).pg[2]
+                for k in (0, n_c)]
+        assert wind == pytest.approx([75.0, 85.0], abs=1e-4)
 
 
 class TestComposerErrors:

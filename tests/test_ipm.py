@@ -22,6 +22,7 @@ from opfkit.ipm import _Kkt, _kkt_lower, _SparseLdl, _View
 from problems import (
     infeasible_box,
     qp_active_bound,
+    qp_bound_sides,
     qp_equality,
     qp_inequality,
     rosenbrock,
@@ -55,6 +56,20 @@ class TestAnalyticOracles:
         assert np.max(np.abs(r.x - exp["x"])) <= 1e-8
         assert r.z_lb[0] == pytest.approx(2.0, abs=1e-6)
         assert r.z_ub[0] == pytest.approx(0.0, abs=1e-6)
+
+    def test_bound_sides(self):
+        """The sides the other oracles leave out: an active upper
+        variable bound, an active finite lower bound on a row, an
+        inactive ranged row and a free variable."""
+        p, exp = qp_bound_sides()
+        r = solve(p, TIGHT)
+        assert r.status == "Optimal"
+        assert np.max(np.abs(r.x - exp["x"])) <= 1e-8
+        assert r.z_ub == pytest.approx(exp["z_ub"], abs=1e-6)
+        assert r.z_lb == pytest.approx(np.zeros(4), abs=1e-6)
+        assert r.lambda_ineq[0] < 0.0
+        assert r.lambda_ineq == pytest.approx(exp["lambda_ineq"], abs=1e-6)
+        assert r.objective == pytest.approx(6.0, abs=1e-8)
 
     def test_rosenbrock(self):
         r = solve(rosenbrock(), SolverOptions(tol=1e-8))

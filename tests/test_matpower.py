@@ -1,11 +1,15 @@
 """Case file parsing, formatting, and round-trip fidelity."""
 
+import math
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from opfkit import errors
-from opfkit.matpower import format_case, parse_case, parse_case_file
+from opfkit import errors, from_raw
+from opfkit.matpower import RawCase, format_case, parse_case, parse_case_file
 
 MINIMAL = """\
 function mpc = tiny
@@ -103,6 +107,17 @@ class TestParseErrors:
             parse_case(MINIMAL.replace("2 0 0 3 0.1 5 100;",
                                        "2 0 0 3 0.1 5;"))
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("col", [0, 3])
+    def test_non_finite_cost_code(self, col, cell):
+        """The model and ncost cells are integer codes: a value that is
+        not finite is a malformed row, not an OverflowError."""
+        row = "2 0 0 3 0.1 5 100".split()
+        row[col] = cell
+        with pytest.raises(errors.MalformedRow, match="gencost row 1"):
+            parse_case(MINIMAL.replace("2 0 0 3 0.1 5 100;",
+                                       " ".join(row) + ";"))
+
     def test_malformed_base_mva(self):
         with pytest.raises(errors.MalformedRow):
             parse_case(MINIMAL.replace("= 100;", "= hundred;"))
@@ -134,3 +149,64 @@ class TestRoundTrip:
         out.write_text(format_case(raw), encoding="utf-8")
         again = parse_case_file(out)
         assert again.bus == parse_case(format_case(raw)).bus
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _rows(min_cols):
+    """Rows of at least min_cols finite numbers; extra columns allowed."""
+    return st.lists(st.lists(FINITE, min_size=min_cols,
+                             max_size=min_cols + 4).map(tuple),
+                    max_size=4).map(tuple)
+
+
+@st.composite
+def _cost_row(draw):
+    ncost = draw(st.integers(1, 3))
+    rest = draw(st.lists(FINITE, min_size=2 + ncost, max_size=ncost + 5))
+    return (2.0, rest[0], rest[1], float(ncost)) + tuple(rest[2:])
+
+
+RAW_CASES = st.builds(
+    RawCase, name=st.from_regex(r"[A-Za-z]\w{0,8}", fullmatch=True),
+    base_mva=FINITE, bus=_rows(13), gen=_rows(10), branch=_rows(13),
+    gencost=st.lists(_cost_row(), max_size=4).map(tuple))
+
+
+def _close(a, b):
+    return math.isclose(a, b, rel_tol=1e-9, abs_tol=0.0)
+
+
+class TestRoundTripProperties:
+
+    @settings(max_examples=60, deadline=None)
+    @given(raw=RAW_CASES)
+    def test_format_parse_fixed_point(self, raw):
+        """One pass through the 10-digit text is a fixed point, and every
+        cell, extra columns included, survives to 1e-9 relative."""
+        once = parse_case(format_case(raw))
+        assert parse_case(format_case(once)) == once
+        assert once.name == raw.name and _close(once.base_mva, raw.base_mva)
+        for section in ("bus", "gen", "branch", "gencost"):
+            got, want = getattr(once, section), getattr(raw, section)
+            assert [len(r) for r in got] == [len(r) for r in want]
+            assert all(_close(a, b) for ra, rb in zip(got, want)
+                       for a, b in zip(ra, rb))
+
+    @settings(max_examples=200, deadline=None)
+    @given(section=st.sampled_from(["bus", "gen", "branch", "gencost"]),
+           rows=st.lists(st.lists(st.sampled_from(
+               ["0", "1", "2", "3", "-1", "0.5", "inf", "-inf", "nan",
+                "1e999", "x"]), max_size=16), max_size=3))
+    def test_any_section_parses_or_raises(self, section, rows):
+        """A case whose section rows are drawn from a small alphabet loads
+        or raises an OpfkitError, never another exception."""
+        body = re.search(rf"mpc\.{section} = \[(.*?)\];", MINIMAL,
+                         re.DOTALL).group(1)
+        text = MINIMAL.replace(
+            body, "".join(f"\n{' '.join(r)};" for r in rows) + "\n")
+        try:
+            from_raw(parse_case(text))
+        except errors.OpfkitError:
+            pass

@@ -18,11 +18,25 @@ from opfkit import (
     errors,
     from_raw,
 )
-from opfkit.matpower import parse_case
+from opfkit.matpower import parse_case, parse_case_file
 from opfkit.network import Branch
 
 
 class TestFromRaw:
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("section,col", [
+        ("bus", 0), ("bus", 1), ("bus", 6), ("bus", 10), ("gen", 0),
+        ("gen", 7), ("branch", 0), ("branch", 1), ("branch", 10),
+        ("gencost", 3)])
+    def test_non_finite_integer_code(self, case9_path, section, col, value):
+        """Ids, types, areas, zones, statuses and ncost are integer codes;
+        a value that is not finite names its section and row."""
+        raw = parse_case_file(case9_path)
+        rows = list(getattr(raw, section))
+        rows[1] = rows[1][:col] + (value,) + rows[1][col + 1:]
+        with pytest.raises(errors.MalformedRow, match=f"{section} row 2"):
+            from_raw(replace(raw, **{section: tuple(rows)}))
 
     def test_degrees_become_radians(self, case9):
         # source file stores Va in degrees; bus 1 pins 0 either way
