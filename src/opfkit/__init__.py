@@ -5,8 +5,9 @@ primal-dual interior-point method.
 The public surface re-exported here covers the usual workflow: parse a
 MATPOWER case (`load_case`), build or compose an NLP (`build_acopf`,
 `build_lattice`, `compose_*`), solve it (`solve`), and inspect or
-write the result (`extract_solution`, `write_case`, `run`,
-`write_output_tree`).
+write the result (`extract_solution`, `write_case`).  `run(plan)` is the
+one executor of a `RunPlan` for every application and structure, and
+`write_output_tree` writes its report.
 """
 
 from . import errors
@@ -32,8 +33,7 @@ from .network import (Branch, Bus, Contingency, GenCost, Generator,
                       from_raw, load_case)
 from .nlp import NlpProblem
 from .runner import (RunPlan, RunReport, StageReport,
-                     compare_empar_monolithic, run, run_empar,
-                     run_monolithic, write_output_tree)
+                     compare_empar_monolithic, run, write_output_tree)
 
 __version__ = "0.1.0"
 
@@ -54,7 +54,7 @@ __all__ = [
     "load_case", "pack_solution", "parse_case", "parse_case_file",
     "parse_contingencies", "parse_contingencies_file",
     "parse_load_profile", "parse_load_profile_files", "parse_scenarios",
-    "parse_scenarios_file", "residuals_at", "run", "run_empar",
-    "run_monolithic", "solution_from_case", "solve", "write_case",
+    "parse_scenarios_file", "residuals_at", "run",
+    "solution_from_case", "solve", "write_case",
     "write_case_file", "write_output_tree",
 ]

@@ -1,7 +1,8 @@
 """Command-line front end: opflow, tcopflow, scopflow, sopflow.
 
-Each subcommand maps its flags onto a RunPlan, executes it, prints a
-per-stage summary table, and writes the output tree.  Exit codes:
+`parse_args` turns a subcommand's flags straight into a RunPlan;
+`main` hands it to `runner.run`, the one executor, writes the output
+tree and prints a per-stage summary table.  Exit codes:
 0 all stages Optimal, 2 argument or input-parsing problems, 3 a
 degraded parallel run (some subproblems failed), 4 the monolithic
 solve did not reach optimality.
@@ -12,7 +13,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 from . import errors
 from .composer import CORRECTIVE, PREVENTIVE, CouplingMode
@@ -30,49 +30,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DEGRADED = 3
 EXIT_SOLVER = 4
-
-
-@dataclass
-class CliConfig:
-    """Validated command-line options for one subcommand invocation."""
-
-    subcommand: str
-    netfile: str
-    ctgcfile: str | None = None
-    scenfile: str | None = None
-    pload: str | None = None
-    qload: str | None = None
-    nc: int | None = None
-    ns: int | None = None
-    nt: int | None = None
-    dt: float = 5.0
-    mode: str = "corrective"
-    structure: str = "monolithic"
-    tol: float = 1e-6
-    maxiter: int = 200
-    outdir: str | None = None
-    workers: int | None = None
-    empar_anchor: bool = False
-
-    def to_plan(self) -> RunPlan:
-        return RunPlan(
-            application=_APPLICATION[self.subcommand],
-            netfile=self.netfile,
-            structure=_STRUCTURE[self.structure],
-            mode=CouplingMode(kind=self.mode),
-            nt=self.nt,
-            dt_minutes=self.dt,
-            ctgcfile=self.ctgcfile,
-            scenfile=self.scenfile,
-            pload=self.pload,
-            qload=self.qload,
-            nc=self.nc,
-            ns=self.ns,
-            outdir=self.outdir,
-            tol=self.tol,
-            max_iter=self.maxiter,
-            workers=self.workers,
-            empar_anchor=self.empar_anchor)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -96,13 +53,14 @@ def _build_parser() -> argparse.ArgumentParser:
                          f"(default {name}out)")
         sub.add_argument("--tol", type=float, default=1e-6,
                          help="solver KKT tolerance (default 1e-6)")
-        sub.add_argument("--maxiter", type=int, default=200,
-                         help="solver iteration limit (default 200)")
+        sub.add_argument("--maxiter", type=int, default=200, dest="max_iter",
+                         metavar="MAXITER", help="solver iteration limit (default 200)")
         if name in ("tcopflow", "scopflow", "sopflow"):
             sub.add_argument("--nt", type=int,
                              help="number of periods (default: the load "
                                   "profile horizon, or 1)")
             sub.add_argument("--dt", type=float, default=5.0,
+                             dest="dt_minutes", metavar="DT",
                              help="minutes between periods (default 5)")
             sub.add_argument("--pload", help="real-power load profile CSV")
             sub.add_argument("--qload",
@@ -142,19 +100,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv: list[str] | None = None) -> CliConfig:
-    """Parse argv into a CliConfig; argparse exits 2 on usage errors."""
-    ns = _build_parser().parse_args(argv)
-    fields = {k: v for k, v in vars(ns).items() if v is not None}
-    config = CliConfig(**fields)
-    for label, path in (("netfile", config.netfile),
-                        ("ctgcfile", config.ctgcfile),
-                        ("scenfile", config.scenfile),
-                        ("pload", config.pload),
-                        ("qload", config.qload)):
+def parse_args(argv: list[str] | None = None) -> RunPlan:
+    """Parse argv into a RunPlan; argparse exits 2 on usage errors."""
+    fields = vars(_build_parser().parse_args(argv))
+    for label in ("netfile", "ctgcfile", "scenfile", "pload", "qload"):
+        path = fields.get(label)
         if path is not None and not os.path.isfile(path):
             raise errors.IoError(f"--{label}: no such file: {path}")
-    return config
+    return RunPlan(
+        application=_APPLICATION[fields.pop("subcommand")],
+        structure=_STRUCTURE[fields.pop("structure", "monolithic")],
+        mode=CouplingMode(kind=fields.pop("mode", CORRECTIVE)), **fields)
 
 
 def _print_summary(report) -> None:
@@ -170,10 +126,9 @@ def _print_summary(report) -> None:
           f"{report.workers} worker{'s' if report.workers != 1 else ''})")
 
 
-def main(config: CliConfig) -> int:
-    """Execute a parsed configuration; returns the process exit code."""
+def main(plan: RunPlan) -> int:
+    """Execute a parsed plan; returns the process exit code."""
     try:
-        plan = config.to_plan()
         report = run(plan)
         outdir = write_output_tree(report)
     except errors.OpfkitError as exc:
@@ -193,11 +148,11 @@ def main(config: CliConfig) -> int:
 def entry(argv: list[str] | None = None) -> int:
     """Console-script entry point."""
     try:
-        config = parse_args(argv)
+        plan = parse_args(argv)
     except errors.OpfkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return main(config)
+    return main(plan)
 
 
 if __name__ == "__main__":

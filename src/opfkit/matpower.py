@@ -18,6 +18,11 @@ Angles are degrees and powers MW/MVAr in the file; unit conversion is
 the concern of the network model, not of this module.  Parsing returns
 a frozen :class:`RawCase` of plain float tuples; unknown trailing
 columns survive a parse/format round trip verbatim.
+
+``baseMVA`` must be finite and positive.  NaN is never a valid cell,
+while ``Inf`` stays legal in every float cell (an unbounded limit, for
+example); integer-coded cells must be finite where they are read
+(`int_cell`).
 """
 
 from __future__ import annotations
@@ -76,6 +81,11 @@ def _parse_matrix(body: str, section: str, min_cols: int, first_line: int) -> Ro
             raise MalformedRow(
                 f"mpc.{section} row near line {line_no}: {exc}"
             ) from None
+        if any(map(math.isnan, row)):
+            col = next(c for c, v in enumerate(row) if math.isnan(v))
+            raise MalformedRow(
+                f"mpc.{section} row {len(rows) + 1} near line {line_no}: "
+                f"column {col + 1} is nan")
         if len(row) < min_cols:
             raise ShortRow(
                 f"mpc.{section} row near line {line_no}: "
@@ -117,7 +127,8 @@ def _check_gencost(rows: Rows, first_line: int) -> None:
 def parse_case(text: str) -> RawCase:
     """Parse MATPOWER case text into a RawCase.
 
-    Raises MissingSection, MalformedRow, ShortRow or
+    Raises MissingSection, MalformedRow (a cell that is not a number or
+    is NaN, or a baseMVA that is not finite and positive), ShortRow or
     UnsupportedCostModel with the offending section and line.
     """
     stripped = _strip_comments(text)
@@ -131,7 +142,11 @@ def parse_case(text: str) -> RawCase:
     try:
         base_mva = float(base_m.group(1))
     except ValueError:
-        raise MalformedRow(f"mpc.baseMVA value {base_m.group(1)!r}") from None
+        base_mva = math.nan
+    if not (math.isfinite(base_mva) and base_mva > 0):
+        line = stripped[: base_m.start()].count("\n") + 1
+        raise MalformedRow(f"mpc.baseMVA on line {line}: {base_m.group(1)!r} "
+                           "is not a finite positive number")
 
     sections: dict[str, Rows] = {}
     min_cols = {"bus": BUS_COLS, "gen": GEN_COLS, "branch": BRANCH_COLS,

@@ -1,13 +1,15 @@
-"""Application orchestration: run plans, monolithic and embarrassingly
-parallel execution, output trees, and machine-readable reports.
+"""Application orchestration: run plans, their execution, output trees,
+and machine-readable reports.
 
 A RunPlan names one of four applications (Opf, Tcopf, Scopf, Sopf),
 how to couple it (mode), how to solve it (structure), and where its
-inputs and outputs live.  Every structure starts from the same
-(scenarios, contingencies, periods) and the same lattice.  Monolithic
-and Flat compose one NLP and solve it once; Empar drops every coupling
-row and solves each (scenario, contingency) chain of periods as an
-independent problem on a worker pool.  All runs write one MATPOWER
+inputs and outputs live.  `run(plan)` is the one executor.  Every
+structure starts from the same (scenarios, contingencies, periods) and
+the same lattice, and differs only in how stages are grouped into
+solves: Monolithic and Flat compose one NLP and solve it once; Empar
+drops every coupling row and solves each (scenario, contingency) chain
+of periods as an independent problem on a worker pool.  One loop turns
+every group's outcome into stage reports.  All runs write one MATPOWER
 file per stage plus a summary.json.
 """
 
@@ -25,15 +27,15 @@ import numpy as np
 
 from . import errors
 from .acopf import SolvedCase, extract_solution
-from .composer import (CompositeIndexMap, CouplingMode, build_lattice,
-                       compose_general, compose_multiperiod,
+from .composer import (CompositeIndexMap, CouplingMode, Lattice,
+                       build_lattice, compose_general, compose_multiperiod,
                        compose_sopf_flat)
-from .inputs import (ContingencySet, ScenarioSet, parse_contingencies_file,
-                     parse_load_profile_files, parse_scenarios_file)
+from .inputs import (parse_contingencies_file, parse_load_profile_files,
+                     parse_scenarios_file)
 from .ipm import OPTIMAL, SolveResult, SolverOptions, solve
 from .matpower import write_case_file
-from .network import (LoadProfile, NetworkCase, apply_load_step,
-                      declare_wind, load_case)
+from .network import NetworkCase, apply_load_step, declare_wind, load_case
+from .nlp import NlpProblem
 
 # Not called here; perfbench/tracing.py wraps these names on this module.
 from .composer import (compose_multiperiod_scopf, compose_scopf,  # noqa: F401
@@ -135,47 +137,33 @@ class RunReport:
         return len(self.stages)
 
 
-@dataclass
-class _Inputs:
-    case: NetworkCase
-    ctgs: ContingencySet | None
-    scens: ScenarioSet | None
-    profile: LoadProfile | None
-
-
-def _load_inputs(plan: RunPlan) -> _Inputs:
+def _lattice_inputs(plan: RunPlan):
+    """Read the plan's files into the application's (scenarios,
+    contingencies, periods)."""
     case = load_case(plan.netfile)
-    ctgs = None
+    ctgs = scens = profile = None
     if plan.ctgcfile:
         ctgs = parse_contingencies_file(plan.ctgcfile)
         if plan.nc is not None:
             ctgs = ctgs.truncated(plan.nc)
-    scens = None
     if plan.scenfile:
         scens = parse_scenarios_file(plan.scenfile)
         if plan.ns is not None:
             scens = scens.truncated(plan.ns)
         case = declare_wind(case, scens.wind_keys())
-    profile = None
     if plan.pload:
         profile = parse_load_profile_files(plan.pload, plan.qload)
-    return _Inputs(case=case, ctgs=ctgs, scens=scens, profile=profile)
-
-
-def _lattice_inputs(plan: RunPlan, inp: _Inputs):
-    """The application's (scenarios, contingencies, periods)."""
     app = plan.application
     nt = 1 if app == OPF else plan.nt
     if nt is None:
-        nt = len(inp.profile.times) if inp.profile else 1
-    periods = ([inp.case] * nt if inp.profile is None else
-               [apply_load_step(inp.case, inp.profile, t) for t in range(nt)])
-    return (inp.scens if app == SOPF else None,
-            inp.ctgs if app in (SCOPF, SOPF) else None, periods)
+        nt = len(profile.times) if profile else 1
+    periods = ([case] * nt if profile is None else
+               [apply_load_step(case, profile, t) for t in range(nt)])
+    return (scens if app == SOPF else None,
+            ctgs if app in (SCOPF, SOPF) else None, periods)
 
 
-def _compose(plan: RunPlan, inp: _Inputs):
-    scens, ctgs, periods = _lattice_inputs(plan, inp)
+def _compose(plan: RunPlan, scens, ctgs, periods):
     if plan.structure == FLAT:
         if len(periods) > 1:
             raise errors.InvalidPlan(
@@ -184,56 +172,25 @@ def _compose(plan: RunPlan, inp: _Inputs):
     return compose_general(scens, ctgs, periods, plan.mode, plan.dt_minutes)
 
 
-def _stage_solutions(imap: CompositeIndexMap,
-                     x: np.ndarray) -> list[SolvedCase]:
-    """Each stage's solved case, read from the composite solution x."""
-    return [extract_solution(st.case, lay, x[off:off + lay.n_vars])
-            for st, lay, off in zip(imap.stages, imap.layouts,
-                                    imap.var_offset)]
+def _solved(composite: tuple[NlpProblem, CompositeIndexMap], tol: float,
+            max_iter: int) -> tuple[SolveResult, list[SolvedCase]]:
+    """Solve a composite; the result and each stage's solved case."""
+    problem, imap = composite
+    result = solve(problem, SolverOptions(tol=tol, max_iter=max_iter))
+    x = result.x
+    return result, [extract_solution(st.case, lay, x[off:off + lay.n_vars])
+                    for st, lay, off in zip(imap.stages, imap.layouts,
+                                            imap.var_offset)]
 
 
-def _scenario_index(stages) -> dict[int | None, int]:
-    """Output index per scenario id, in first-appearance (base-first) order."""
+def _stage_keys(specs) -> list[tuple[int, int, int]]:
+    """(scenario index, contingency id, period) of each stage; scenarios
+    are numbered in first-appearance (base-first) order."""
     order: dict[int | None, int] = {}
-    for st in stages:
-        key = st.scenario.id if st.scenario else None
-        if key not in order:
-            order[key] = len(order)
-    return order
-
-
-def run_monolithic(plan: RunPlan) -> RunReport:
-    """Compose the requested structure, solve once, report per stage."""
-    plan.validate()
-    t0 = time.perf_counter()
-    inp = _load_inputs(plan)
-    problem, imap = _compose(plan, inp)
-    result = solve(problem, SolverOptions(tol=plan.tol,
-                                          max_iter=plan.max_iter))
-    scen_idx = _scenario_index(imap.stages)
-    stages: list[StageReport] = []
-    sols = _stage_solutions(imap, result.x)
-    for k, (st, sol) in enumerate(zip(imap.stages, sols)):
-        stages.append(StageReport(
-            scenario=scen_idx[st.scenario.id if st.scenario else None],
-            contingency=st.contingency.id if st.contingency else 0,
-            period=st.period,
-            status=result.status,
-            objective=sol.objective,
-            weight=imap.weights[k],
-            iterations=result.iterations,
-            kkt=result.kkt,
-            solution=sol,
-            message=result.message))
-    warnings = []
-    if result.status != OPTIMAL:
-        warnings.append(
-            f"monolithic solve ended {result.status}: {result.message}")
-    return RunReport(plan=plan, status=result.status,
-                     total_objective=result.objective,
-                     wall_time=time.perf_counter() - t0,
-                     workers=1, stages=stages, solves=[result],
-                     warnings=warnings)
+    return [(order.setdefault(st.scenario.id if st.scenario else None,
+                              len(order)),
+             st.contingency.id if st.contingency else 0, st.period)
+            for st in specs]
 
 
 # --- EMPAR ------------------------------------------------------------------
@@ -258,9 +215,8 @@ def _chain_task(payload):
     """Solve one (scenario, contingency) chain; runs on a worker."""
     cases, dt_minutes, tol, max_iter = payload
     try:
-        problem, imap = compose_multiperiod(list(cases), dt_minutes)
-        result = solve(problem, SolverOptions(tol=tol, max_iter=max_iter))
-        return result, _stage_solutions(imap, result.x), ""
+        return (*_solved(compose_multiperiod(list(cases), dt_minutes), tol,
+                         max_iter), "")
     except Exception as exc:    # one failed chain must not abort the run
         trace = ("" if isinstance(exc, errors.OpfkitError)
                  else "\n" + traceback.format_exc())
@@ -275,97 +231,94 @@ def _outcome(future):
         return None, [], f"worker process died: {exc}"
 
 
-def run_empar(plan: RunPlan) -> RunReport:
-    """Drop all coupling and solve every chain independently.
+def _solve_chains(plan: RunPlan, lattice: Lattice, chains: list[range]):
+    """The worker count and each chain's (result, solutions, error).
 
-    Subproblems are dispatched to at most plan.workers processes, and
-    never to more processes than there are chains.  They are aggregated
-    in stage-index order, so reports do not depend on completion order.
-    Failures are recorded per subproblem and mark the report Degraded
-    instead of aborting the run.
+    With plan.empar_anchor every chain but the lattice's base chain is
+    boxed around a solve of the lattice's base stage; the base chain
+    stays free, like the global base stage of a monolithic run.
     """
-    plan.validate()
-    if plan.structure != EMPAR:
-        raise errors.InvalidPlan("run_empar requires the Empar structure")
-    t0 = time.perf_counter()
-    inp = _load_inputs(plan)
-    scens, ctgs, periods = _lattice_inputs(plan, inp)
-    lattice = build_lattice(scens, ctgs, periods, plan.dt_minutes)
-
     anchor: SolvedCase | None = None
     if plan.empar_anchor:
-        problem, imap = compose_multiperiod(periods[:1], plan.dt_minutes)
-        res0 = solve(problem, SolverOptions(tol=plan.tol,
-                                            max_iter=plan.max_iter))
-        anchor = _stage_solutions(imap, res0.x)[0]
-
-    chains = []     # (scenario_idx, ctg_id, weight, cases)
-    for (s_idx, c_idx), ks in lattice.chains().items():
-        first = lattice.stages[ks[0]]
+        anchor = _solved(compose_multiperiod([lattice.stages[0].case],
+                                             plan.dt_minutes),
+                         plan.tol, plan.max_iter)[1][0]
+    payloads = []
+    for ks in chains:
         cases = [lattice.stages[k].case for k in ks]
-        # the base chain stays free, like the global base stage of a
-        # monolithic run
-        if anchor is not None and (s_idx, c_idx) != (0, 0):
-            scale = (plan.mode.contingency_scale if first.contingency
+        if anchor is not None and ks[0] != 0:
+            scale = (plan.mode.contingency_scale
+                     if lattice.stages[ks[0]].contingency
                      else plan.mode.scenario_scale)
             cases = [_anchored(c, anchor, scale) for c in cases]
-        chains.append((s_idx, first.contingency.id if first.contingency
-                       else 0, lattice.weights[ks[0]], tuple(cases)))
-
-    workers = min(plan.workers or os.cpu_count() or 1, len(chains))
-    payloads = [(cases, plan.dt_minutes, plan.tol, plan.max_iter)
-                for _, _, _, cases in chains]
+        payloads.append((tuple(cases), plan.dt_minutes, plan.tol,
+                         plan.max_iter))
+    workers = min(plan.workers or os.cpu_count() or 1, len(payloads))
     if workers == 1:
-        outcomes = [_chain_task(p) for p in payloads]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_chain_task, p) for p in payloads]
-            outcomes = [_outcome(f) for f in futures]
+        return workers, [_chain_task(p) for p in payloads]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_chain_task, p) for p in payloads]
+        return workers, [_outcome(f) for f in futures]
 
+
+def run(plan: RunPlan) -> RunReport:
+    """Execute a plan: solve every stage and report it.
+
+    Monolithic and Flat solve one composite, whose stages form one
+    group of weight 1.0.  Empar drops every coupling row and solves
+    each (scenario, contingency) chain of periods independently, one
+    group per chain, weighted by its scenario; chains go to at most
+    plan.workers processes, and never to more processes than there are
+    chains.  Reports follow the stage index, so they do not depend on
+    completion order.  A failed chain is recorded per stage and marks
+    the run Degraded instead of aborting it.
+    """
+    plan.validate()
+    t0 = time.perf_counter()
+    scens, ctgs, periods = _lattice_inputs(plan)
+    empar = plan.structure == EMPAR
+    if empar:
+        lattice = build_lattice(scens, ctgs, periods, plan.dt_minutes)
+        specs, weights = lattice.stages, lattice.weights
+        groups = list(lattice.chains().values())
+        workers, outcomes = _solve_chains(plan, lattice, groups)
+    else:
+        composite = _compose(plan, scens, ctgs, periods)
+        specs, weights = composite[1].stages, composite[1].weights
+        groups = [range(len(specs))]
+        workers, outcomes = 1, [(*_solved(composite, plan.tol,
+                                          plan.max_iter), "")]
+
+    keys = _stage_keys(specs)
     stages: list[StageReport] = []
     solves: list[SolveResult] = []
     warnings: list[str] = []
     total = 0.0
-    degraded = False
-    for (s_idx, c_id, weight, cases), (result, sols, err) in zip(chains,
-                                                                 outcomes):
+    for ks, (result, sols, err) in zip(groups, outcomes):
+        s, c, _ = keys[ks[0]]
+        where = (f"subproblem scen_{s}/cont_{c}" if empar
+                 else "monolithic solve")
         if result is None:
-            degraded = True
-            warnings.append(
-                f"subproblem scen_{s_idx}/cont_{c_id} failed: {err}")
-            for t in range(len(cases)):
-                stages.append(StageReport(
-                    scenario=s_idx, contingency=c_id, period=t,
-                    status="Error", objective=float("nan"), weight=weight,
-                    iterations=0, kkt=(float("inf"),) * 3,
-                    solution=None, message=err))
+            warnings.append(f"{where} failed: {err}")
+            stages += [StageReport(*keys[k], status="Error",
+                                   objective=float("nan"), weight=weights[k],
+                                   iterations=0, kkt=(float("inf"),) * 3,
+                                   solution=None, message=err) for k in ks]
             continue
         solves.append(result)
         if result.status != OPTIMAL:
-            degraded = True
-            warnings.append(
-                f"subproblem scen_{s_idx}/cont_{c_id} ended "
-                f"{result.status}: {result.message}")
-        total += weight * result.objective
-        for t, sol in enumerate(sols):
-            stages.append(StageReport(
-                scenario=s_idx, contingency=c_id, period=t,
-                status=result.status, objective=sol.objective,
-                weight=weight, iterations=result.iterations,
-                kkt=result.kkt, solution=sol, message=result.message))
+            warnings.append(f"{where} ended {result.status}: {result.message}")
+        total += (weights[ks[0]] if empar else 1.0) * result.objective
+        stages += [StageReport(*keys[k], status=result.status,
+                               objective=sol.objective, weight=weights[k],
+                               iterations=result.iterations, kkt=result.kkt,
+                               solution=sol, message=result.message)
+                   for k, sol in zip(ks, sols)]
 
-    return RunReport(plan=plan, status=DEGRADED if degraded else OPTIMAL,
-                     total_objective=total,
-                     wall_time=time.perf_counter() - t0,
-                     workers=workers, stages=stages, solves=solves,
-                     warnings=warnings)
-
-
-def run(plan: RunPlan) -> RunReport:
-    """Dispatch a plan to the monolithic or the EMPAR path."""
-    if plan.structure == EMPAR:
-        return run_empar(plan)
-    return run_monolithic(plan)
+    status = (DEGRADED if warnings else OPTIMAL) if empar else solves[0].status
+    return RunReport(plan=plan, status=status, total_objective=total,
+                     wall_time=time.perf_counter() - t0, workers=workers,
+                     stages=stages, solves=solves, warnings=warnings)
 
 
 def compare_empar_monolithic(empar: RunReport,

@@ -15,51 +15,51 @@ QLOAD = "tests/data/load_q.csv"
 
 
 class TestParseArgs:
-    """Flag-to-CliConfig mapping for each subcommand."""
+    """Flag-to-RunPlan mapping for each subcommand."""
 
     def test_opflow_defaults(self):
-        config = cli.parse_args(["opflow", "--netfile", NET])
-        assert config.subcommand == "opflow"
-        assert config.netfile == NET
-        assert config.tol == 1e-6
-        assert config.maxiter == 200
-        assert config.mode == "corrective"
-        assert config.structure == "monolithic"
-        assert config.outdir is None
-        assert config.nc is None and config.ns is None and config.nt is None
+        plan = cli.parse_args(["opflow", "--netfile", NET])
+        assert plan.application == "Opf"
+        assert plan.netfile == NET
+        assert plan.tol == 1e-6
+        assert plan.max_iter == 200
+        assert plan.mode.kind == "corrective"
+        assert plan.structure == "Monolithic"
+        assert plan.outdir is None
+        assert plan.nc is None and plan.ns is None and plan.nt is None
 
     def test_scopflow_full_flag_set(self):
-        config = cli.parse_args([
+        plan = cli.parse_args([
             "scopflow", "--netfile", NET, "--ctgcfile", CTG,
             "--nc", "3", "--mode", "preventive", "--structure", "empar",
             "--workers", "2", "--empar-anchor", "--nt", "2", "--dt", "10",
             "--tol", "1e-8", "--maxiter", "50", "--outdir", "sout"])
-        assert config.ctgcfile == CTG
-        assert config.nc == 3
-        assert config.mode == "preventive"
-        assert config.structure == "empar"
-        assert config.workers == 2
-        assert config.empar_anchor is True
-        assert config.nt == 2
-        assert config.dt == 10.0
-        assert config.tol == 1e-8
-        assert config.maxiter == 50
-        assert config.outdir == "sout"
+        assert plan.ctgcfile == CTG
+        assert plan.nc == 3
+        assert plan.mode.kind == "preventive"
+        assert plan.structure == "Empar"
+        assert plan.workers == 2
+        assert plan.empar_anchor is True
+        assert plan.nt == 2
+        assert plan.dt_minutes == 10.0
+        assert plan.tol == 1e-8
+        assert plan.max_iter == 50
+        assert plan.outdir == "sout"
 
     def test_sopflow_scenario_flags(self):
-        config = cli.parse_args([
+        plan = cli.parse_args([
             "sopflow", "--netfile", NET, "--ctgcfile", CTG,
             "--scenfile", SCEN, "--ns", "1", "--structure", "flat"])
-        assert config.scenfile == SCEN
-        assert config.ns == 1
-        assert config.structure == "flat"
+        assert plan.scenfile == SCEN
+        assert plan.ns == 1
+        assert plan.structure == "Flat"
 
     def test_tcopflow_profile_flags(self):
-        config = cli.parse_args([
+        plan = cli.parse_args([
             "tcopflow", "--netfile", NET,
             "--pload", PLOAD, "--qload", QLOAD])
-        assert config.pload == PLOAD
-        assert config.qload == QLOAD
+        assert plan.pload == PLOAD
+        assert plan.qload == QLOAD
 
     def test_no_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -98,11 +98,11 @@ class TestParseArgs:
 
 
 class TestToPlan:
-    """CliConfig.to_plan produces a valid RunPlan with mapped fields."""
+    """parse_args produces a valid RunPlan with mapped fields."""
 
     def test_opflow_plan(self):
         plan = cli.parse_args(["opflow", "--netfile", NET,
-                               "--tol", "1e-8", "--maxiter", "30"]).to_plan()
+                               "--tol", "1e-8", "--maxiter", "30"])
         plan.validate()
         assert plan.application == "Opf"
         assert plan.structure == "Monolithic"
@@ -114,7 +114,7 @@ class TestToPlan:
         plan = cli.parse_args([
             "scopflow", "--netfile", NET, "--ctgcfile", CTG,
             "--mode", "preventive", "--structure", "empar",
-            "--nc", "2", "--workers", "4", "--empar-anchor"]).to_plan()
+            "--nc", "2", "--workers", "4", "--empar-anchor"])
         plan.validate()
         assert plan.application == "Scopf"
         assert plan.structure == "Empar"
@@ -127,7 +127,7 @@ class TestToPlan:
         plan = cli.parse_args([
             "sopflow", "--netfile", NET, "--ctgcfile", CTG,
             "--scenfile", SCEN, "--ns", "1", "--nt", "2", "--dt", "15",
-            "--structure", "full"]).to_plan()
+            "--structure", "full"])
         plan.validate()
         assert plan.application == "Sopf"
         assert plan.structure == "Monolithic"
@@ -175,6 +175,32 @@ class TestEntry:
                           "--outdir", str(tmp_path / "out")])
         assert code == cli.EXIT_USAGE
         assert "gencost row 3" in capsys.readouterr().err
+
+    def test_nan_load_in_case_exits_2(self, tmp_path, capsys):
+        """NaN is never a valid case cell: bus 6's Pd of nan is rejected
+        by the parser, not handed to the solver."""
+        bad = tmp_path / "bad.m"
+        with open(NET, encoding="utf-8") as fh:
+            bad.write_text(fh.read().replace("\t6\t1\t90\t30\t",
+                                             "\t6\t1\tnan\t30\t"))
+        code = cli.entry(["opflow", "--netfile", str(bad),
+                          "--outdir", str(tmp_path / "out")])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "mpc.bus row 6 near line 11" in err and "column 3" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("base_mva", ["0", "nan", "-100", "inf"])
+    def test_unusable_base_mva_exits_2(self, tmp_path, capsys, base_mva):
+        bad = tmp_path / "bad.m"
+        with open(NET, encoding="utf-8") as fh:
+            bad.write_text(fh.read().replace("mpc.baseMVA = 100;",
+                                             f"mpc.baseMVA = {base_mva};"))
+        code = cli.entry(["opflow", "--netfile", str(bad),
+                          "--outdir", str(tmp_path / "out")])
+        assert code == cli.EXIT_USAGE
+        assert "mpc.baseMVA on line 3" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("pcell,qcell", [("nan", "30"), ("30", "inf")])
     def test_non_finite_load_exits_2(self, tmp_path, capsys, pcell, qcell):

@@ -122,6 +122,27 @@ class TestParseErrors:
         with pytest.raises(errors.MalformedRow):
             parse_case(MINIMAL.replace("= 100;", "= hundred;"))
 
+    @pytest.mark.parametrize("value", ["0", "-100", "nan", "inf", "-inf"])
+    def test_base_mva_not_finite_positive(self, value):
+        with pytest.raises(errors.MalformedRow, match="mpc.baseMVA"):
+            parse_case(MINIMAL.replace("= 100;", f"= {value};"))
+
+    @pytest.mark.parametrize("section,old,new", [
+        ("bus", "1 3 0 ", "1 3 nan "),
+        ("gen", "1 60 0", "1 NaN 0"),
+        ("branch", "1 2 0.01 0.1", "1 2 0.01 nan")],
+        ids=["bus", "gen", "branch"])
+    def test_nan_cell(self, section, old, new):
+        """NaN is never a valid cell; the error names section and row."""
+        with pytest.raises(errors.MalformedRow, match=f"mpc.{section} row 1"):
+            parse_case(MINIMAL.replace(old, new))
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "Inf"])
+    def test_infinite_float_cell_is_legal(self, cell):
+        raw = parse_case(MINIMAL.replace("1 60 0 300 -300",
+                                         f"1 60 0 {cell} -300"))
+        assert raw.gen[0][3] == float(cell)
+
 
 def _assert_rows_close(a, b, rel):
     assert len(a) == len(b)
@@ -170,7 +191,8 @@ def _cost_row(draw):
 
 RAW_CASES = st.builds(
     RawCase, name=st.from_regex(r"[A-Za-z]\w{0,8}", fullmatch=True),
-    base_mva=FINITE, bus=_rows(13), gen=_rows(10), branch=_rows(13),
+    base_mva=st.floats(min_value=0.0, exclude_min=True,
+                       allow_infinity=False), bus=_rows(13), gen=_rows(10), branch=_rows(13),
     gencost=st.lists(_cost_row(), max_size=4).map(tuple))
 
 

@@ -4,13 +4,18 @@ import json
 import os
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from opfkit import (
     CouplingMode,
     RunPlan,
     compare_empar_monolithic,
     errors,
+    extract_solution,
+    load_case,
     run,
     runner,
     write_output_tree,
@@ -150,10 +155,15 @@ class TestMonolithic:
             assert [b.pd for b in loads] == pd
             assert [b.qd for b in loads] == qd
 
-    def test_starved_solve_reports_solver_status(self):
-        """A failed monolithic solve surfaces as-is; Degraded is
-        reserved for partially failed parallel runs."""
-        report = run(scopf_plan(nc=1, max_iter=2))
+    @pytest.mark.parametrize("application,structure", [
+        ("Scopf", "Monolithic"), ("Sopf", "Flat")])
+    def test_starved_solve_reports_solver_status(self, application,
+                                                 structure):
+        """A failed coupled solve, monolithic or flat, surfaces as-is;
+        Degraded is reserved for partially failed parallel runs."""
+        report = run(scopf_plan(application=application, structure=structure,
+                                scenfile=SCEN if application == "Sopf"
+                                else None, nc=1, max_iter=2))
         assert report.status == "MaxIter"
         assert report.warnings
         assert all(s.status == "MaxIter" for s in report.stages)
@@ -250,10 +260,67 @@ class TestEmpar:
             gens = load_case(out / f"scen_{s}" / f"cont_{c}" / "t_0.m").gens
             assert gens[0].pmin > 10.0 and gens[0].pmax < 350.0
 
+    def test_anchor_boxes_around_lattice_base_stage(self, tmp_path):
+        """Anchored chains are boxed around the lattice's base stage, the
+        most probable scenario with its wind target applied, which the
+        free base chain also solves; not around the case with no
+        scenario applied."""
+        scen = tmp_path / "scen.csv"
+        scen.write_text("scenario,weight,wind_3_1\n1,0.6,40\n2,0.4,70\n")
+        report = run(RunPlan(application="Sopf", netfile=NET,
+                             structure="Empar", workers=1,
+                             scenfile=str(scen),
+                             ctgcfile="tests/data/ctgc_branches.cont", nc=1,
+                             empar_anchor=True))
+        assert report.status == "Optimal"
+        assert report.stage_count() == 4
+        gens = load_case(NET).gens
+        base = report.stages[0].solution
+        for stage in report.stages[1:]:
+            for j in (0, 1):
+                anchored = stage.solution.case.gens[j]
+                assert anchored.pmin == max(gens[j].pmin,
+                                            base.pg[j] - gens[j].ramp_30)
+                assert anchored.pmax == min(gens[j].pmax,
+                                            base.pg[j] + gens[j].ramp_30)
+
     def test_degraded_stage_reported(self):
         report = run(scopf_plan(structure="Empar", workers=1, max_iter=2))
         assert report.status == "Degraded"
         assert any(s.status != "Optimal" for s in report.stages)
+
+
+class TestTrivialComposites:
+    """Composites whose stages all equal the plain case reduce to it."""
+
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(weights=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=3),
+           nt=st.integers(1, 3),
+           structure=st.sampled_from(["Monolithic", "Flat", "Empar"]))
+    def test_structures_agree_with_plain_acopf(self, tmp_path_factory,
+                                               base_solve, weights, nt,
+                                               structure):
+        """Scenarios that all keep case9's own 75 MW wind target, no
+        contingency and nt equal periods: every structure is Optimal,
+        dispatches every stage as the plain ACOPF does, and totals nt
+        plain objectives."""
+        _, layout, plain = base_solve
+        plain_pg = extract_solution(load_case(NET), layout, plain.x).pg
+        if structure == "Flat":
+            nt = 1
+        scen = tmp_path_factory.mktemp("trivial") / "scen.csv"
+        scen.write_text("scenario,weight,wind_3_1\n" + "".join(
+            f"{i + 1},{w!r},75\n" for i, w in enumerate(weights)))
+        report = run(RunPlan(application="Sopf", netfile=NET,
+                             structure=structure, workers=1,
+                             scenfile=str(scen), ctgcfile=CTG, nc=0, nt=nt))
+        assert report.status == "Optimal"
+        assert report.stage_count() == len(weights) * nt
+        assert report.total_objective == pytest.approx(nt * plain.objective,
+                                                       rel=1e-7)
+        for stage in report.stages:
+            assert np.max(np.abs(stage.solution.pg - plain_pg)) <= 1e-4
 
 
 class TestOutputTree:
