@@ -28,8 +28,8 @@ order; stage k owns the variable block [VA, VM, PG, QG] at var_off[k],
 the balance rows [P, Q] at eq_off[k] and its flow-limit rows at
 ineq_off[k] of the inequality region, and linear coupling rows between
 stages follow the stage rows of their region.  `build_acopf` is the
-one-stage engine.  Only the objective is reduced stage by stage, so
-that each stage's cost is summed exactly as a lone stage's would be.
+one-stage engine.  The objective sums each stage's costs in one
+segmented reduction and adds the weighted stage sums in stage order.
 
 Branch flow quantities use, with theta = theta_f - theta_t and
 admittance components yff = gff + j bff etc.:
@@ -63,6 +63,22 @@ from .nlp import CsrPattern, NlpProblem
 # unique upper-triangle positions of a 4x4 block over (tf, tt, vf, vt)
 _POSITIONS = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3),
               (2, 2), (2, 3), (3, 3))
+_POS_A, _POS_B = np.array(_POSITIONS).T
+
+
+def _mirrored_entries():
+    """The 16 entries of each branch's symmetric block in pattern order
+    (each position, then its mirror when off the diagonal): their
+    position in _POSITIONS, row axis and column axis."""
+    entries = []
+    for i, (a, b) in enumerate(_POSITIONS):
+        entries.append((i, a, b))
+        if a != b:
+            entries.append((i, b, a))
+    return np.array(entries).T
+
+
+_ENTRY_POS, _ENTRY_ROW, _ENTRY_COL = _mirrored_entries()
 
 
 @dataclass(frozen=True)
@@ -226,7 +242,6 @@ class _Engine(_Grid):
         pd, qd, gs, bs, xl, xu, x0 = [], [], [], [], [], [], []
         fo, to, y, rated, smax2 = [], [], [], [], []
         gslot, cost, gen_w = [], [], []
-        self.gen_blocks = []       # (generator slice, weight) per stage
         nbus = nbr = ngen = 0
         for st, w in zip(self.stages, weights):
             case, base = st.case, st.case.base_mva
@@ -246,7 +261,6 @@ class _Engine(_Grid):
             cost += [(g.cost.c2 * base * base, g.cost.c1 * base, g.cost.c0)
                      for g in gv]
             gen_w += [w] * st.ng
-            self.gen_blocks.append((slice(ngen, ngen + st.ng), w))
             # variable block [VA, VM, PG, QG]; reference angles pinned
             xl += ([b.va if b.btype == REF else -math.inf for b in busv]
                    + [b.vmin for b in busv] + [g.pmin / base for g in gv]
@@ -279,7 +293,10 @@ class _Engine(_Grid):
         bus_off, bstage, bk = _blocks(nb)
         self.eq_off = 2 * bus_off
         self.ineq_off = 2 * _blocks([len(st.rated) for st in self.stages])[0]
-        _, gstage, gk = _blocks(ng)
+        gen_off, gstage, gk = _blocks(ng)
+        # the first unit and the weight of each stage that has a unit
+        self.cost_starts = gen_off[ng > 0]
+        self.cost_w = np.array(weights, dtype=float)[ng > 0]
         self.n = self.x0.size
         self.va_col = self.var_off[bstage] + bk
         self.vm_col = self.va_col + nb[bstage]
@@ -351,18 +368,11 @@ class _Engine(_Grid):
 
         # Hessian: 10 unique positions per branch, mirrored; plus the
         # shunt and objective diagonals.
-        hr, hc = [], []
-        for a, b in _POSITIONS:
-            ia, ib = self.axis_cols[a], self.axis_cols[b]
-            hr.append(ia)
-            hc.append(ib)
-            if a != b:
-                hr.append(ib)
-                hc.append(ia)
-        hr += [self.vm_col, self.pg_col]
-        hc += [self.vm_col, self.pg_col]
-        self.hess_rows = np.concatenate(hr)
-        self.hess_cols = np.concatenate(hc)
+        axes = np.stack(self.axis_cols)
+        self.hess_rows = np.concatenate([axes[_ENTRY_ROW].ravel(),
+                                         self.vm_col, self.pg_col])
+        self.hess_cols = np.concatenate([axes[_ENTRY_COL].ravel(),
+                                         self.vm_col, self.pg_col])
 
     # --- evaluation ------------------------------------------------------
 
@@ -378,10 +388,12 @@ class _Engine(_Grid):
     def objective(self, x: np.ndarray) -> float:
         pg = x[self.pg_col]
         cost = (self.cost_a * pg + self.cost_b) * pg + self.cost_c
-        # np.sum's reduction, stage by stage: the same pairwise sums as
-        # a lone stage's
-        return float(sum(w * np.add.reduce(cost[s])
-                         for s, w in self.gen_blocks))
+        if not cost.size:
+            return 0.0
+        # stages without a unit add nothing; reduceat would give them the
+        # next stage's first cost
+        stage = np.add.reduceat(cost, self.cost_starts)
+        return float(np.add.accumulate(self.cost_w * stage)[-1])
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         g = np.zeros(self.n)
@@ -421,13 +433,13 @@ class _Engine(_Grid):
         return self._jac.wrap(np.concatenate(data))
 
     def _flow_hessians(self, fo):
-        """Per-position second derivatives of the four flow quantities."""
+        """Second derivatives of the four flow quantities, one (10, nbr)
+        array each with rows in _POSITIONS order."""
         u, w, u2, w2 = fo["u"], fo["w"], fo["u2"], fo["w2"]
         vf, vt, vv = fo["vf"], fo["vt"], fo["vv"]
         zero = np.zeros(self.nbr)
         g2ff, b2ff = 2 * self.gff, 2 * self.bff
         g2tt, b2tt = 2 * self.gtt, 2 * self.btt
-        # rows follow _POSITIONS
         hpf = (-vv * u, vv * u, -vt * w, -vf * w, -vv * u, vt * w, vf * w,
                g2ff, u, zero)
         hqf = (-vv * w, vv * w, vt * u, vf * u, -vv * w, -vt * u, -vf * u,
@@ -436,7 +448,7 @@ class _Engine(_Grid):
                -vf * w2, zero, u2, g2tt)
         hqt = (-vv * w2, vv * w2, -vt * u2, -vf * u2, -vv * w2, vt * u2,
                vf * u2, zero, w2, -b2tt)
-        return hpf, hqf, hpt, hqt
+        return tuple(np.stack(h) for h in (hpf, hqf, hpt, hqt))
 
     def lagrangian_hessian(self, x: np.ndarray, obj_factor: float,
                            mult: np.ndarray) -> sp.csr_matrix:
@@ -454,22 +466,19 @@ class _Engine(_Grid):
         c_pt = lam_pt + 2 * st * fo["pt"]
         c_qt = lam_qt + 2 * st * fo["qt"]
 
-        gpf, gqf = fo["gpf"], fo["gqf"]
-        gpt, gqt = fo["gpt"], fo["gqt"]
-        vals = []
-        for i, (a, b) in enumerate(_POSITIONS):
-            v = (c_pf * hpf[i] + c_qf * hqf[i]
-                 + c_pt * hpt[i] + c_qt * hqt[i]
-                 + 2 * sf * (gpf[a] * gpf[b] + gqf[a] * gqf[b])
-                 + 2 * st * (gpt[a] * gpt[b] + gqt[a] * gqt[b]))
-            vals.append(v)
-            if a != b:
-                vals.append(v)
+        gpf, gqf, gpt, gqt = (np.stack(fo[k])
+                              for k in ("gpf", "gqf", "gpt", "gqt"))
+        a, b = _POS_A, _POS_B
+        # one row per position of _POSITIONS
+        v = (c_pf * hpf + c_qf * hqf + c_pt * hpt + c_qt * hqt
+             + 2 * sf * (gpf[a] * gpf[b] + gqf[a] * gqf[b])
+             + 2 * st * (gpt[a] * gpt[b] + gqt[a] * gqt[b]))
         lam_p_bus = -mult[self.p_row]
         lam_q_bus = -mult[self.q_row]
-        vals.append(2 * (lam_p_bus * self.gs - lam_q_bus * self.bs))
-        vals.append(2 * (obj_factor * self.gen_w) * self.cost_a)
-        return self._hess.wrap(np.concatenate(vals))
+        return self._hess.wrap(np.concatenate([
+            v[_ENTRY_POS].ravel(),
+            2 * (lam_p_bus * self.gs - lam_q_bus * self.bs),
+            2 * (obj_factor * self.gen_w) * self.cost_a]))
 
 
 def build_acopf(case: NetworkCase):

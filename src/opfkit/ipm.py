@@ -12,16 +12,19 @@ symmetric indefinite form
     [ Je                  -dI  ] [dy ] = [rhs_y]
 
 assembled sparse and factored by a sparse LDL': SuperLU in symmetric
-mode with diagonal pivots only.  The dual regularization d starts at
-1e-9, since SuperLU will not pivot on a zero diagonal.  When every
-pivot is diagonal, Sylvester's law of inertia reads the inertia of the
-matrix off the pivot signs, and the factor is accepted only at inertia
-(n, m_eq, 0).  Wrong inertia, an off-diagonal pivot or singularity
-triggers Levenberg regularization, reg <- max(reg0, 10 reg) and
-d <- 10 d, at most 20 retries, warm-started from the last successful
-level.  Once reg makes the (1,1) block positive definite the matrix is
-quasi-definite, and a quasi-definite matrix has an LDL' factorization
-in every ordering (Vanderbei 1995).
+mode with diagonal pivots only, in single-column panels with no
+relaxed supernodes.  L holds about six entries per column, so wider
+panels and relaxed supernodes would do dense work on blocks of zeros.
+The dual regularization d starts at 1e-9, since SuperLU will not pivot
+on a zero diagonal.  When every pivot is diagonal, Sylvester's law of
+inertia reads the inertia of the matrix off the pivot signs, and the
+factor is accepted only at inertia (n, m_eq, 0).  Wrong inertia, an
+off-diagonal pivot or singularity triggers Levenberg regularization,
+reg <- max(reg0, 10 reg) and d <- 10 d, at most 20 retries,
+warm-started from the last successful level.  Once reg makes the (1,1)
+block positive definite the matrix is quasi-definite, and a
+quasi-definite matrix has an LDL' factorization in every ordering
+(Vanderbei 1995).
 
 Every sparsity pattern is fixed once per solve, and each iteration
 refills values only.  The Jacobian pattern is read from the call that
@@ -40,13 +43,16 @@ order, with the same diagonal-pivot check and inertia count.
 Globalization is a backtracking line search on the l1 exact-penalty
 merit function of the barrier problem.  The penalty is kept above the
 multiplier norms and cooled when they shrink; a rejected full step
-earns one second-order correction (constraint residuals re-evaluated
-at the trial point, same factorization) before backtracking.  Steps
-are clipped by the fraction-to-boundary rule tau = max(tau_min,
-1 - mu).  The barrier parameter follows the monotone schedule
-mu <- max(tol/10, kappa_mu * mu) whenever the mu-perturbed KKT error
-falls below 10 mu, and the solve terminates Optimal when the
-unperturbed scaled KKT error is at most tol.
+earns one second-order correction (the constraint residuals of the
+rejected trial point, same factorization) before backtracking.  The
+line search keeps the scaled objective and constraints of each trial
+point it evaluates, and the next iteration starts from those of the
+trial it accepted, so no point is evaluated twice.  Steps are clipped
+by the fraction-to-boundary rule tau = max(tau_min, 1 - mu).  The
+barrier parameter follows the monotone schedule mu <- max(tol/10,
+kappa_mu * mu) whenever the mu-perturbed KKT error falls below 10 mu,
+and the solve terminates Optimal when the unperturbed scaled KKT error
+is at most tol.
 
 The problem is solved under internal gradient-based scaling (objective
 and constraint rows scaled so their gradient norms at the start point
@@ -83,6 +89,10 @@ _KAPPA_SIGMA = 1e10
 _SCALE_GRAD = 100.0
 # first dual regularization: SuperLU will not pivot on a zero diagonal
 _DELTA0 = 1e-9
+# SuperLU panel width and relaxed-supernode size: single columns (see
+# the module docstring)
+_PANEL_SIZE = 1
+_RELAX = 1
 
 
 @dataclass
@@ -390,7 +400,8 @@ class _SparseLdl:
             self.lu = splu(kkt.matrix(reg, delta),
                            permc_spec=("MMD_AT_PLUS_A" if self.perm is None
                                        else "NATURAL"),
-                           diag_pivot_thresh=0.0,
+                           diag_pivot_thresh=0.0, relax=_RELAX,
+                           panel_size=_PANEL_SIZE,
                            options={"SymmetricMode": True})
         except RuntimeError:
             return
@@ -470,19 +481,20 @@ class _Ipm:
                 terms -= float(np.sum(np.log(g)))
         return terms
 
-    def _merit(self, xs, mu, nu, c=None):
-        """Merit at (x, s); c is the scaled constraint vector at x when
-        already evaluated."""
+    def _merit(self, xs, mu, nu, c, f=None):
+        """Merit at (x, s) and the scaled objective f at x.  c is the
+        scaled constraint vector at x; f is evaluated when not given,
+        and stays None when the barrier is infinite."""
         x, s = xs[:self.n], xs[self.n:]
-        if c is None:
-            c = self.view.constraints(x)
         ce, ci = c[:self.me], c[self.me:]
         viol = (float(np.sum(np.abs(ce))) +
                 float(np.sum(np.abs(ci - s))))
         bar = self._barrier(xs)
         if not np.isfinite(bar):
-            return np.inf
-        return self.view.objective(x) + mu * bar + nu * viol
+            return np.inf, f
+        if f is None:
+            f = self.view.objective(x)
+        return f + mu * bar + nu * viol, f
 
     def solve(self) -> SolveResult:
         opt, v = self.opt, self.view
@@ -492,8 +504,10 @@ class _Ipm:
         s_f = v.s_f
 
         x = _push_interior(v.x0, v.xl, v.xu)
-        ci0 = self.view.constraints(x)[me:]
-        xs = np.concatenate([x, _push_interior(ci0, v.gl, v.gu)])
+        # scaled constraints and objective at x; later iterations take
+        # them from the trial point the line search accepted
+        c, f = v.constraints(x), None
+        xs = np.concatenate([x, _push_interior(c[me:], v.gl, v.gu)])
         lam_e = np.zeros(me)
         lam_i = np.zeros(mi)
         mu = opt.mu0
@@ -512,7 +526,6 @@ class _Ipm:
         while it < opt.max_iter:
             x, s = xs[:n], xs[n:]
             g = v.gradient(x)
-            c = v.constraints(x)
             ce, ci = c[:me], c[me:]
             je, ji = v.jacobian(x)
             ri = ci - s
@@ -665,24 +678,26 @@ class _Ipm:
             descent = (float(gbar[:n] @ d[:n]) + float(gbar[n:] @ d[n:])
                        - nu * viol1)
 
-            merit0 = self._merit(xs, mu, nu, c)
+            merit0, f = self._merit(xs, mu, nu, c, f)
             alpha = a_p
             accepted = False
             soc_left = 1
             while alpha >= _STEP_MIN:
-                trial = self._merit(xs + alpha * d, mu, nu)
+                xs_t = xs + alpha * d
+                c_t = v.constraints(xs_t[:n])
+                trial, f_t = self._merit(xs_t, mu, nu, c_t)
                 if trial <= merit0 + 1e-4 * alpha * min(descent, 0.0):
                     accepted = True
                     break
                 if soc_left and alpha == a_p:
-                    # second-order correction: same factorization, residuals
-                    # re-evaluated at the rejected full step
+                    # second-order correction: same factorization, the
+                    # residuals of the rejected full step
                     soc_left -= 1
-                    xs_t = xs + alpha * d
-                    c_t = v.constraints(xs_t[:n])
                     d2, dlam_e2 = recover(c_t[me:] - xs_t[n:], c_t[:me])
                     a2 = primal_max(d2)
-                    trial2 = self._merit(xs + a2 * d2, mu, nu)
+                    xs_t = xs + a2 * d2
+                    c_t = v.constraints(xs_t[:n])
+                    trial2, f_t = self._merit(xs_t, mu, nu, c_t)
                     if trial2 <= merit0 + 1e-4 * a2 * min(descent, 0.0):
                         d, dlam_e = d2, dlam_e2
                         dlam_i, dzl, dzu = dual_steps(d2)
@@ -705,7 +720,8 @@ class _Ipm:
             a_d = min(_max_step(zl[fl], dzl[fl], tau),
                       _max_step(zu[fu], dzu[fu], tau))
 
-            xs = xs + alpha * d
+            # the accepted trial is xs + alpha * d, evaluated already
+            xs, c, f = xs_t, c_t, f_t
             lam_e = lam_e + alpha * dlam_e
             lam_i = lam_i + alpha * dlam_i
             zl = zl + a_d * dzl

@@ -89,6 +89,13 @@ class RunPlan:
                 f"{self.application} requires a contingency file")
         if self.application == SOPF and not self.scenfile:
             raise errors.InvalidPlan("Sopf requires a scenario file")
+        # every application reads load profiles; only some read these
+        if self.application != SOPF and self.scenfile:
+            raise errors.InvalidPlan(
+                f"{self.application} does not use a scenario file")
+        if self.application in (OPF, TCOPF) and self.ctgcfile:
+            raise errors.InvalidPlan(
+                f"{self.application} does not use a contingency file")
         if (self.pload is None) != (self.qload is None):
             raise errors.InvalidPlan(
                 "load profiles need both the P and the Q file")
@@ -139,7 +146,8 @@ class RunReport:
 
 def _lattice_inputs(plan: RunPlan):
     """Read the plan's files into the application's (scenarios,
-    contingencies, periods)."""
+    contingencies, periods); a validated plan names only files its
+    application uses."""
     case = load_case(plan.netfile)
     ctgs = scens = profile = None
     if plan.ctgcfile:
@@ -153,14 +161,12 @@ def _lattice_inputs(plan: RunPlan):
         case = declare_wind(case, scens.wind_keys())
     if plan.pload:
         profile = parse_load_profile_files(plan.pload, plan.qload)
-    app = plan.application
-    nt = 1 if app == OPF else plan.nt
+    nt = 1 if plan.application == OPF else plan.nt
     if nt is None:
         nt = len(profile.times) if profile else 1
     periods = ([case] * nt if profile is None else
                [apply_load_step(case, profile, t) for t in range(nt)])
-    return (scens if app == SOPF else None,
-            ctgs if app in (SCOPF, SOPF) else None, periods)
+    return scens, ctgs, periods
 
 
 def _compose(plan: RunPlan, scens, ctgs, periods):

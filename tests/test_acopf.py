@@ -17,6 +17,7 @@ from opfkit import (
     solution_from_case,
     solve,
 )
+from opfkit.acopf import _Engine
 
 from util import interior_points
 
@@ -75,6 +76,20 @@ class TestBuild:
         by_hand = sum(g.cost.at(p.x0[layout.pg[i]] * 100.0)
                       for i, g in enumerate(case9.gens))
         assert p.objective(p.x0) == pytest.approx(by_hand, rel=1e-12)
+
+    def test_stage_without_units_adds_no_cost(self, case9):
+        """Stages with no live unit, first, between and last, add nothing
+        and take no other stage's cost."""
+        idle = replace(case9, gens=tuple(replace(g, status=0)
+                                         for g in case9.gens))
+        e = _Engine([idle, case9, idle, case9, idle],
+                    (1.0, 0.25, 1.0, 0.5, 1.0))
+        lone, _ = build_acopf(case9)
+        x = np.random.default_rng(5).uniform(0.5, 1.5, e.n)
+        f1, f3 = (lone.objective(x[e.var_off[k]:e.var_off[k] + lone.n])
+                  for k in (1, 3))
+        assert e.objective(x) == 0.25 * f1 + 0.5 * f3
+        assert _Engine([idle]).objective(x[:18]) == 0.0
 
 
 class TestResiduals:

@@ -132,6 +132,42 @@ class TestDeterminism:
         assert r.objective == pytest.approx(109034.70792620965, rel=1e-12)
 
 
+class TestEvaluations:
+
+    @pytest.fixture
+    def points(self, monkeypatch):
+        """A copy of every x the solver's scaled constraints and objective
+        receive, per callback in call order.  The certificate and the
+        reported objective, in original units, do not pass through
+        them."""
+        seen = {"constraints": [], "objective": []}
+        for name, xs in seen.items():
+            def wrapped(view, x, fn=getattr(_View, name), xs=xs):
+                xs.append(x.copy())
+                return fn(view, x)
+            monkeypatch.setattr(_View, name, wrapped)
+        return seen
+
+    @pytest.mark.parametrize("lattice", [False, True])
+    def test_no_point_evaluated_twice_in_a_row(self, points, case9, scens,
+                                               ctgs, lattice):
+        """The start point is evaluated once, a second-order correction
+        reuses the rejected trial's constraints, and each iteration
+        starts from the evaluations of the trial it accepted."""
+        if lattice:
+            p, _ = compose_general(scens, ctgs, [case9] * 3,
+                                   CouplingMode(kind="preventive"), 5.0)
+        else:
+            p, _ = build_acopf(case9)
+        r = solve(p, SolverOptions())
+        assert r.status == "Optimal"
+        for name, xs in points.items():
+            assert len(xs) > r.iterations
+            repeats = [i for i in range(1, len(xs))
+                       if np.array_equal(xs[i], xs[i - 1])]
+            assert repeats == [], name
+
+
 def _kkt_blocks(seed, n, me, density):
     """Random sparse KKT data: symmetric indefinite H, a Je with one
     boosted entry per row in distinct columns (so almost always of full

@@ -91,6 +91,31 @@ class TestPlanValidation:
             RunPlan(application="Sopf", netfile=NET, ctgcfile=CTG,
                     scenfile=SCEN, structure="Full").validate()
 
+    def test_scenario_file_on_scopf_rejected(self, tmp_path):
+        """A Scopf plan read a scenario file it does not use and declared
+        its wind units on the case: gen 1's cost vanished and the total
+        fell from 15731.81 to 1241.00."""
+        assert run(scopf_plan(nc=2)).total_objective == pytest.approx(
+            15731.81, abs=0.005)
+        scen = tmp_path / "wind.csv"
+        scen.write_text("scenario,weight,wind_1_1\n1,1.0,100\n")
+        with pytest.raises(errors.InvalidPlan, match="scenario file"):
+            run(scopf_plan(nc=2, scenfile=str(scen)))
+
+    @pytest.mark.parametrize("application,files", [
+        ("Opf", {"scenfile": SCEN}), ("Tcopf", {"scenfile": SCEN}),
+        ("Opf", {"ctgcfile": CTG}), ("Tcopf", {"ctgcfile": CTG})])
+    def test_unused_input_file_rejected(self, application, files):
+        with pytest.raises(errors.InvalidPlan, match="does not use"):
+            RunPlan(application=application, netfile=NET,
+                    **files).validate()
+
+    def test_load_profiles_legal_everywhere(self):
+        for plan in (RunPlan(application="Opf", netfile=NET),
+                     scopf_plan(), scopf_plan(application="Sopf",
+                                              scenfile=SCEN)):
+            replace(plan, pload=PLOAD, qload=QLOAD).validate()
+
     def test_loads_come_in_pairs(self):
         with pytest.raises(errors.InvalidPlan):
             RunPlan(application="Tcopf", netfile=NET,
