@@ -18,13 +18,13 @@ panels and relaxed supernodes would do dense work on blocks of zeros.
 The dual regularization d starts at 1e-9, since SuperLU will not pivot
 on a zero diagonal.  When every pivot is diagonal, Sylvester's law of
 inertia reads the inertia of the matrix off the pivot signs, and the
-factor is accepted only at inertia (n, m_eq, 0).  Wrong inertia, an
-off-diagonal pivot or singularity triggers Levenberg regularization,
-reg <- max(reg0, 10 reg) and d <- 10 d, at most 20 retries,
-warm-started from the last successful level.  Once reg makes the (1,1)
-block positive definite the matrix is quasi-definite, and a
-quasi-definite matrix has an LDL' factorization in every ordering
-(Vanderbei 1995).
+factor is accepted only at inertia (n, m_eq, 0).  `_Kkt.factor` owns the
+inertia correction (Waechter and Biegler 2006, section 3.1): an
+unregularized try, then reg = max(1e-8, reg_last / 3) from the level the
+last iteration accepted, then reg <- 10 reg and d <- 10 d, at most 20
+retries.  Once reg makes the (1,1) block positive definite the matrix
+is quasi-definite, and a quasi-definite matrix has an LDL'
+factorization in every ordering (Vanderbei 1995).
 
 Every sparsity pattern is fixed once per solve, and each iteration
 refills values only.  The Jacobian pattern is read from the call that
@@ -47,12 +47,16 @@ earns one second-order correction (the constraint residuals of the
 rejected trial point, same factorization) before backtracking.  The
 line search keeps the scaled objective and constraints of each trial
 point it evaluates, and the next iteration starts from those of the
-trial it accepted, so no point is evaluated twice.  Steps are clipped
-by the fraction-to-boundary rule tau = max(tau_min, 1 - mu).  The
-barrier parameter follows the monotone schedule mu <- max(tol/10,
-kappa_mu * mu) whenever the mu-perturbed KKT error falls below 10 mu,
-and the solve terminates Optimal when the unperturbed scaled KKT error
-is at most tol.
+trial it accepted, so no point is evaluated twice.  The gradient and
+Jacobian are evaluated once per accepted point; at the start point the
+scaling call's serve the first iteration.  Steps are clipped by the
+fraction-to-boundary rule tau = max(0.99, 1 - mu).  The barrier
+parameter starts at 0.1 and follows the monotone schedule
+mu <- max(tol/10, 0.2 mu) whenever the mu-perturbed KKT error falls
+below 10 mu, and the solve terminates Optimal when the unperturbed
+scaled KKT error is at most tol.  SolverOptions holds tol and max_iter
+only; the other settings are the module constants _MU0, _KAPPA_MU,
+_TAU_MIN, _REG0, _MAX_REG_RETRIES and _DELTA0.
 
 The problem is solved under internal gradient-based scaling (objective
 and constraint rows scaled so their gradient norms at the start point
@@ -87,6 +91,14 @@ _STALL_WINDOW = 30
 _STALL_FEAS = 1e-4
 _KAPPA_SIGMA = 1e10
 _SCALE_GRAD = 100.0
+# barrier parameter: first value, and its factor at each decrease
+_MU0 = 0.1
+_KAPPA_MU = 0.2
+# fraction-to-boundary floor: tau = max(_TAU_MIN, 1 - mu)
+_TAU_MIN = 0.99
+# first primal regularization, and the retries after the unregularized try
+_REG0 = 1e-8
+_MAX_REG_RETRIES = 20
 # first dual regularization: SuperLU will not pivot on a zero diagonal
 _DELTA0 = 1e-9
 # SuperLU panel width and relaxed-supernode size: single columns (see
@@ -99,11 +111,6 @@ _RELAX = 1
 class SolverOptions:
     tol: float = 1e-6
     max_iter: int = 200
-    mu0: float = 0.1
-    kappa_mu: float = 0.2
-    tau_min: float = 0.99
-    reg0: float = 1e-8
-    max_reg_retries: int = 20
 
 
 @dataclass
@@ -196,7 +203,9 @@ class _View:
     pattern from the first Hessian call.  From then on each call only
     gathers the free-column values: the Jacobian into the solver-owned
     Je and Ji (scaled by row), the Hessian into the values of its free
-    lower triangle at (h_rows, h_cols).
+    lower triangle at (h_rows, h_cols).  The scaling call's derivatives
+    at x_start serve the solver's first iteration: g_start is the scaled
+    gradient there, and Je and Ji hold the scaled Jacobian there.
     """
 
     def __init__(self, p: NlpProblem):
@@ -214,22 +223,25 @@ class _View:
         self.col[self.free] = np.arange(self.n)
 
         me, m = p.m_eq, p.m_eq + p.m_ineq
-        x_start = _push_interior(self.x0, self.xl, self.xu)
-        g0 = self.p.gradient(self.lift(x_start))[self.free]
-        gmax = float(np.max(np.abs(g0))) if g0.size else 0.0
+        self.x_start = _push_interior(self.x0, self.xl, self.xu)
+        g0 = self.p.gradient(self.lift(self.x_start))[self.free]
+        gmax = _amax(g0)
         self.s_f = min(1.0, _SCALE_GRAD / gmax) if gmax > 0 else 1.0
+        self.g_start = self.s_f * g0
         self._jac = None            # the Jacobian's pattern, once read
         rows = cols = np.zeros(0, dtype=np.intp)
+        j_vals = np.zeros(0)
         row_inf = np.zeros(m)
         if m:
-            j0 = _canonical(self.p.jacobian(self.lift(x_start)), "jacobian",
-                            None)
+            j0 = _canonical(self.p.jacobian(self.lift(self.x_start)),
+                            "jacobian", None)
             self._jac = (j0.indptr.copy(), j0.indices.copy())
             rows = np.repeat(np.arange(m), np.diff(j0.indptr))
             cols = self.col[j0.indices]
             self._j_take = np.flatnonzero(cols >= 0)
             rows, cols = rows[self._j_take], cols[self._j_take]
-            np.maximum.at(row_inf, rows, np.abs(j0.data[self._j_take]))
+            j_vals = j0.data[self._j_take]
+            np.maximum.at(row_inf, rows, np.abs(j_vals))
         with np.errstate(divide="ignore"):
             self.s_c = np.minimum(1.0, _SCALE_GRAD / row_inf)
         self.s_c[~np.isfinite(self.s_c)] = 1.0
@@ -239,7 +251,7 @@ class _View:
         indptr = np.zeros(m + 1, dtype=np.intp)
         np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
         split = indptr[me]
-        self._j_data = np.zeros(cols.size)
+        self._j_data = j_vals * self._j_scale
         self.je = _Csr(indptr[:me + 1], cols[:split], (me, self.n),
                        self._j_data[:split])
         self.ji = _Csr(indptr[me:] - split, cols[split:],
@@ -367,6 +379,28 @@ class _Kkt:
         self.perm = (np.argsort(perm_c), perm_c)
         self._lay_out(perm_c)
 
+    def factor(self, reg_last: float) -> tuple[_SparseLdl | None, float]:
+        """The first factor of K with inertia (n, m_eq), and its reg.
+
+        The first try is unregularized; the next warm-starts at
+        reg_last / 3, the level the previous iteration accepted, and
+        each later one takes ten times more reg (never below _REG0) and
+        ten times more delta, at most _MAX_REG_RETRIES retries (Waechter
+        and Biegler 2006, section 3.1).  The first accepted factor's
+        ordering lays K out for every later one.  (None, reg) when no
+        try is accepted.
+        """
+        reg, delta = 0.0, _DELTA0
+        for _ in range(_MAX_REG_RETRIES + 1):
+            fact = _SparseLdl(self, reg, delta)
+            if fact.ok:
+                if self.perm is None:
+                    self.reorder(fact.lu.perm_c)
+                return fact, reg
+            reg = max(_REG0, reg_last / 3.0 if reg == 0.0 else 10.0 * reg)
+            delta = max(_DELTA0, 10.0 * delta)
+        return None, reg
+
 
 def _kkt_lower(hess, dx_diag, ji, ds_diag, je) -> _Kkt:
     """K for one set of scipy blocks (hess the whole symmetric (1,1)
@@ -392,8 +426,7 @@ class _SparseLdl:
     off-diagonal pivot is reported as not ok.
     """
 
-    def __init__(self, kkt: _Kkt, reg: float, delta: float,
-                 n: int, me: int):
+    def __init__(self, kkt: _Kkt, reg: float, delta: float):
         self.perm = kkt.perm
         self.ok = False
         try:
@@ -407,8 +440,8 @@ class _SparseLdl:
             return
         d = self.lu.U.diagonal()
         self.ok = (np.array_equal(self.lu.perm_r, self.lu.perm_c)
-                   and np.count_nonzero(d > 0.0) == n
-                   and np.count_nonzero(d < 0.0) == me)
+                   and np.count_nonzero(d > 0.0) == kkt.n
+                   and np.count_nonzero(d < 0.0) == kkt.me)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         if self.perm is None:
@@ -437,6 +470,11 @@ def _push_interior(x, lo, hi, kappa=1e-2):
     x = np.where(fl, np.maximum(x, lo + pad_l), x)
     x = np.where(fu, np.minimum(x, hi - pad_u), x)
     return x
+
+
+def _amax(v: np.ndarray) -> float:
+    """Largest |v_i|, 0.0 for an empty v."""
+    return float(np.max(np.abs(v), initial=0.0))
 
 
 def _max_step(v, dv, tau):
@@ -475,10 +513,9 @@ class _Ipm:
         terms = 0.0
         for gap, mask in zip(self._gaps(xs), (self.fl, self.fu)):
             g = gap[mask]
-            if g.size:
-                if np.any(g <= 0.0):
-                    return np.inf
-                terms -= float(np.sum(np.log(g)))
+            if np.any(g <= 0.0):
+                return np.inf
+            terms -= float(np.sum(np.log(g)))
         return terms
 
     def _merit(self, xs, mu, nu, c, f=None):
@@ -503,14 +540,16 @@ class _Ipm:
         mu_min = opt.tol / 10.0
         s_f = v.s_f
 
-        x = _push_interior(v.x0, v.xl, v.xu)
-        # scaled constraints and objective at x; later iterations take
-        # them from the trial point the line search accepted
+        # scaled derivatives, constraints and objective at x; the view's
+        # scaling call gave those at the start point, and later ones are
+        # taken at the trial point the line search accepted
+        x, g = v.x_start, v.g_start
+        je, ji = v.je, v.ji
         c, f = v.constraints(x), None
         xs = np.concatenate([x, _push_interior(c[me:], v.gl, v.gu)])
         lam_e = np.zeros(me)
         lam_i = np.zeros(mi)
-        mu = opt.mu0
+        mu = _MU0
         gap_l, gap_u = self._gaps(xs)
         zl = np.where(fl, np.clip(mu / gap_l, 1e-6, 1e3), 0.0)
         zu = np.where(fu, np.clip(mu / gap_u, 1e-6, 1e3), 0.0)
@@ -520,58 +559,32 @@ class _Ipm:
         reg_last = 0.0
         status, message = MAX_ITER, ""
         it = 0
-        kkt_out = (np.inf, np.inf, np.inf)
         kkt = None
 
         while it < opt.max_iter:
             x, s = xs[:n], xs[n:]
-            g = v.gradient(x)
             ce, ci = c[:me], c[me:]
-            je, ji = v.jacobian(x)
             ri = ci - s
-            gap_l, gap_u = self._gaps(xs)
 
-            jt_lam_e = je.tdot(lam_e)
-            jt_lam_i = ji.tdot(lam_i)
+            jt_lam_e, jt_lam_i = je.tdot(lam_e), ji.tdot(lam_i)
             r = np.concatenate([g, -lam_i]) - zl + zu
-            rx, rs = r[:n], r[n:]
-            if me:
-                rx = rx + jt_lam_e
-            if mi:
-                rx = rx + jt_lam_i
+            rx, rs = r[:n] + jt_lam_e + jt_lam_i, r[n:]
 
             # scaled-space residuals drive the barrier schedule
-            mult_inf = max((float(np.max(np.abs(m)))
-                            for m in (lam_e, lam_i, zl, zu) if m.size),
-                           default=0.0)
-            sd = max(1.0, mult_inf / 100.0)
-            stat_s = max(float(np.max(np.abs(rx))) if n else 0.0,
-                         float(np.max(np.abs(rs))) if mi else 0.0) / sd
-            feas_s = max(float(np.max(np.abs(ce))) if me else 0.0,
-                         float(np.max(np.abs(ri))) if mi else 0.0)
+            sd = max(1.0, max(_amax(lam_e), _amax(lam_i), _amax(zl),
+                              _amax(zu)) / 100.0)
+            stat_s = max(_amax(rx), _amax(rs)) / sd
+            feas_s = max(_amax(ce), _amax(ri))
             prods = np.concatenate([gap_l[fl] * zl[fl], gap_u[fu] * zu[fu]])
 
-            def comp_s(mu_val):
-                if not prods.size:
-                    return 0.0
-                return float(np.max(np.abs(prods - mu_val))) / sd
-
             # original-unit residuals decide termination and reporting
-            mult_inf_u = max(
-                float(np.max(np.abs(lam_e * self.u_eq))) if me else 0.0,
-                float(np.max(np.abs((zu[n:] - zl[n:]) * self.u_in)))
-                if mi else 0.0,
-                float(np.max(np.abs(zl[:n] / s_f))) if n else 0.0,
-                float(np.max(np.abs(zu[:n] / s_f))) if n else 0.0)
-            sd_u = max(1.0, mult_inf_u / 100.0)
-            stat_u = max(
-                float(np.max(np.abs(rx))) / s_f if n else 0.0,
-                (float(np.max(np.abs(rs * self.u_in))) if mi else 0.0)) / sd_u
-            feas_u = max(
-                float(np.max(np.abs(ce / v.s_c[:me]))) if me else 0.0,
-                float(np.max(np.abs(ri / v.s_c[me:]))) if mi else 0.0)
-            comp_u = (float(np.max(np.abs(prods))) / s_f / sd_u
-                      if prods.size else 0.0)
+            sd_u = max(1.0, max(_amax(lam_e * self.u_eq),
+                                _amax((zu[n:] - zl[n:]) * self.u_in),
+                                _amax(zl[:n] / s_f),
+                                _amax(zu[:n] / s_f)) / 100.0)
+            stat_u = max(_amax(rx) / s_f, _amax(rs * self.u_in)) / sd_u
+            feas_u = max(_amax(ce / v.s_c[:me]), _amax(ri / v.s_c[me:]))
+            comp_u = _amax(prods) / s_f / sd_u
             kkt_out = (stat_u, feas_u, comp_u)
             if max(kkt_out) <= opt.tol:
                 check = self._kkt_original(x, lam_e, zl, zu)
@@ -592,9 +605,9 @@ class _Ipm:
                            f"{_STALL_FEAS:g} for {_STALL_WINDOW} iterations")
                 break
 
-            if (max(stat_s, feas_s, comp_s(mu)) <= 10.0 * mu
+            if (max(stat_s, feas_s, _amax(prods - mu) / sd) <= 10.0 * mu
                     and mu > mu_min):
-                mu = max(mu_min, opt.kappa_mu * mu)
+                mu = max(mu_min, _KAPPA_MU * mu)
 
             # Newton system
             hess = v.hessian(x, 1.0, np.concatenate([lam_e, lam_i]))
@@ -609,33 +622,17 @@ class _Ipm:
             mu_u = np.where(fu, mu / gap_u, 0.0)
             # barrier gradient over (x, s); phi adds the multiplier terms
             gbar = np.concatenate([g, np.zeros(mi)]) - mu_l + mu_u
-            phi_x = gbar[:n]
-            if me:
-                phi_x = phi_x + jt_lam_e
-            if mi:
-                phi_x = phi_x + jt_lam_i
+            phi_x = gbar[:n] + jt_lam_e + jt_lam_i
             phi_s = lam_i + mu_l[n:] - mu_u[n:]
 
-            reg, delta = 0.0, _DELTA0
+            # free the last factor before SuperLU allocates the next
             fact = None
-            for attempt in range(opt.max_reg_retries + 1):
-                fact = _SparseLdl(kkt, reg, delta, n, me)
-                if fact.ok:
-                    break
-                if reg == 0.0:
-                    # warm-start from the last successful level
-                    reg = max(opt.reg0, reg_last / 3.0)
-                else:
-                    reg = max(opt.reg0, 10.0 * reg)
-                delta = max(_DELTA0, 10.0 * delta)
-            if fact is None or not fact.ok:
+            fact, reg = kkt.factor(reg_last)
+            if fact is None:
                 status = NUMERIC_FAILURE
                 message = "factorization failed after regularization retries"
                 break
             reg_last = reg
-            if kkt.perm is None:
-                # keep the first accepted fill-reducing ordering
-                kkt.reorder(fact.lu.perm_c)
 
             def recover(ri_rhs, ce_rhs):
                 """Step (dx, ds) and dlam_e from the current factorization
@@ -652,7 +649,7 @@ class _Ipm:
                 dzu = np.where(fu, mu_u - zu + sigma_u * d, 0.0)
                 return dlam_i, dzl, dzu
 
-            tau = max(opt.tau_min, 1.0 - mu)
+            tau = max(_TAU_MIN, 1.0 - mu)
 
             def primal_max(d):
                 return min(_max_step(gap_l[fl], d[fl], tau),
@@ -664,10 +661,8 @@ class _Ipm:
 
             # exact-penalty parameter: above the multiplier norms, cooled
             # when they shrink
-            lam_next = max(
-                float(np.max(np.abs(lam_e + dlam_e))) if me else 0.0,
-                float(np.max(np.abs(lam_i + dlam_i))) if mi else 0.0)
-            nu_req = 1.1 * lam_next + 0.1
+            nu_req = 1.1 * max(_amax(lam_e + dlam_e),
+                               _amax(lam_i + dlam_i)) + 0.1
             if nu_req > nu:
                 nu = nu_req
             elif nu_req < 0.25 * nu:
@@ -720,19 +715,22 @@ class _Ipm:
             a_d = min(_max_step(zl[fl], dzl[fl], tau),
                       _max_step(zu[fu], dzu[fu], tau))
 
-            # the accepted trial is xs + alpha * d, evaluated already
+            # the accepted trial is xs + alpha * d, evaluated already;
+            # its derivatives serve the next iteration
             xs, c, f = xs_t, c_t, f_t
+            g = v.gradient(xs[:n])
+            je, ji = v.jacobian(xs[:n])
             lam_e = lam_e + alpha * dlam_e
             lam_i = lam_i + alpha * dlam_i
             zl = zl + a_d * dzl
             zu = zu + a_d * dzu
 
-            # keep z within kappa_sigma of mu / gap
+            # keep z within kappa_sigma of mu / gap; these gaps also
+            # serve the next iteration
             gap_l, gap_u = self._gaps(xs)
             for z, gap, fin in ((zl, gap_l, fl), (zu, gap_u, fu)):
-                if np.any(fin):
-                    z[fin] = np.clip(z[fin], mu / (_KAPPA_SIGMA * gap[fin]),
-                                     (_KAPPA_SIGMA * mu) / gap[fin])
+                z[fin] = np.clip(z[fin], mu / (_KAPPA_SIGMA * gap[fin]),
+                                 (_KAPPA_SIGMA * mu) / gap[fin])
 
             it += 1
             # infinite sides read +inf, so they never set a minimum

@@ -16,6 +16,7 @@ file per stage plus a summary.json.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 import traceback
@@ -108,6 +109,10 @@ class RunPlan:
                 raise errors.InvalidPlan(f"{name} must not be negative")
         if self.workers is not None and self.workers < 1:
             raise errors.InvalidPlan("workers must be at least 1")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise errors.InvalidPlan("tol must be finite and positive")
+        if self.max_iter < 1:
+            raise errors.InvalidPlan("max_iter must be at least 1")
 
     def out_directory(self) -> str:
         return self.outdir or _DEFAULT_OUTDIR[self.application]

@@ -156,6 +156,40 @@ def qp_bound_sides():
                "lambda_ineq": np.array([-2.0, 0.0])}
 
 
+def concave_box():
+    """min -(x1^2 + x2^2) + 0.1 x1  on  [-1, 2]^2, from (0.3, 0.4).
+
+    The Hessian is negative definite, so the Newton matrix has the
+    wrong inertia until the barrier terms outweigh it; the minimum is
+    the corner (2, 2).
+    """
+
+    def objective(x):
+        return -(x[0] ** 2 + x[1] ** 2) + 0.1 * x[0]
+
+    def gradient(x):
+        return np.array([-2.0 * x[0] + 0.1, -2.0 * x[1]])
+
+    def constraints(x):
+        return np.zeros(0)
+
+    def jacobian(x):
+        return sp.csr_matrix((0, 2))
+
+    def hessian(x, obj_factor, mult):
+        return sp.csr_matrix(-2.0 * obj_factor * np.eye(2))
+
+    p = NlpProblem(
+        n=2, m_eq=0, m_ineq=0,
+        xl=np.full(2, -1.0), xu=np.full(2, 2.0),
+        gl=np.zeros(0), gu=np.zeros(0),
+        x0=np.array([0.3, 0.4]),
+        objective=objective, gradient=gradient, constraints=constraints,
+        jacobian=jacobian, lagrangian_hessian=hessian,
+        name="concave-box")
+    return p, {"x": np.array([2.0, 2.0])}
+
+
 def infeasible_box():
     """min x^2  s.t.  x = 0  with bound x >= 1.  No feasible point."""
 

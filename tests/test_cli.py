@@ -256,6 +256,16 @@ class TestEntry:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--tol", "nan"], ["--tol", "-1"], ["--tol", "0"], ["--tol", "inf"],
+        ["--maxiter", "0"]])
+    def test_unusable_solver_limits_exit_2(self, tmp_path, capsys, flags):
+        code = cli.entry(["opflow", "--netfile", NET, *flags,
+                          "--outdir", str(tmp_path / "out")])
+        assert code == cli.EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_truncation_flags_shape_the_run(self, tmp_path):
         """--ns/--nc limit the lattice: 1 scenario with base plus one
         contingency gives exactly two stages and two case files."""

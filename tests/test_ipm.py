@@ -20,6 +20,7 @@ from opfkit import (
 from opfkit.ipm import _Kkt, _kkt_lower, _SparseLdl, _View
 
 from problems import (
+    concave_box,
     infeasible_box,
     qp_active_bound,
     qp_bound_sides,
@@ -103,6 +104,36 @@ class TestStatuses:
         assert r.x[0] == 0.25
         assert r.x[1] == pytest.approx(1.75, abs=1e-8)
 
+    def test_nan_hessian_is_numeric_failure(self):
+        """No regularization gives a NaN matrix a factor: the solve
+        reports NumericFailure before its first step instead of
+        raising."""
+        p, _ = qp_inequality()
+        p.lagrangian_hessian = lambda x, sigma, mult: sp.csr_matrix(
+            np.full((2, 2), np.nan))
+        r = solve(p, TIGHT)
+        assert r.status == "NumericFailure"
+        assert r.iterations == 0
+        assert r.message == "factorization failed after regularization retries"
+
+
+class TestRegularization:
+
+    def test_concave_box_regularization_ladder(self):
+        """A negative definite Hessian is regularized until the barrier
+        outweighs it.  The first try of each iteration is unregularized,
+        the next warm-starts at a third of the last accepted level, and
+        each further try takes ten times more."""
+        p, exp = concave_box()
+        r = solve(p, SolverOptions())
+        assert r.status == "Optimal"
+        assert np.max(np.abs(r.x - exp["x"])) <= 1e-6
+        assert r.iterations == 14
+        assert [rec.reg for rec in r.iter_log] == [
+            10.0, 3.3333333333333335, 11.11111111111111,
+            3.7037037037037037, 12.345679012345679, 4.11522633744856,
+            0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+
 
 class TestDeterminism:
 
@@ -153,12 +184,20 @@ class TestEvaluations:
                                                ctgs, lattice):
         """The start point is evaluated once, a second-order correction
         reuses the rejected trial's constraints, and each iteration
-        starts from the evaluations of the trial it accepted."""
+        starts from the evaluations of the trial it accepted.  The
+        gradient and the Jacobian are evaluated at the start point, at
+        each accepted iterate and once more by the certificate."""
         if lattice:
             p, _ = compose_general(scens, ctgs, [case9] * 3,
                                    CouplingMode(kind="preventive"), 5.0)
         else:
             p, _ = build_acopf(case9)
+        calls = {"gradient": 0, "jacobian": 0}
+        for name in calls:
+            def counted(x, fn=getattr(p, name), name=name):
+                calls[name] += 1
+                return fn(x)
+            setattr(p, name, counted)
         r = solve(p, SolverOptions())
         assert r.status == "Optimal"
         for name, xs in points.items():
@@ -166,6 +205,8 @@ class TestEvaluations:
             repeats = [i for i in range(1, len(xs))
                        if np.array_equal(xs[i], xs[i - 1])]
             assert repeats == [], name
+        assert calls == {"gradient": r.iterations + 2,
+                         "jacobian": r.iterations + 2}
 
 
 def _kkt_blocks(seed, n, me, density):
@@ -195,10 +236,9 @@ def _dense_kkt(h, dx, ji, ds, je, reg, delta):
 
 
 def _sparse_factor(h, dx, ji, ds, je, reg, delta):
-    n, me = h.shape[0], je.shape[0]
     low = _kkt_lower(sp.csr_matrix(h), dx, sp.csr_matrix(ji), ds,
                      sp.csr_matrix(je))
-    return _SparseLdl(low, reg, delta, n, me)
+    return _SparseLdl(low, reg, delta)
 
 
 _KKT_CASES = dict(
@@ -387,10 +427,10 @@ class TestFixedPatterns:
         h = h @ h.T + np.eye(40)
         kkt = _kkt_lower(sp.csr_matrix(h), dx, sp.csr_matrix(ji), ds,
                          sp.csr_matrix(je))
-        first = _SparseLdl(kkt, 0.0, 1e-2, 40, 12)
+        first = _SparseLdl(kkt, 0.0, 1e-2)
         assert first.ok
         kkt.reorder(first.lu.perm_c)
-        again = _SparseLdl(kkt, 0.0, 1e-2, 40, 12)
+        again = _SparseLdl(kkt, 0.0, 1e-2)
         assert again.ok
         assert np.array_equal(again.lu.perm_c, np.arange(52))
         assert (again.lu.L.nnz + again.lu.U.nnz

@@ -116,6 +116,16 @@ class TestPlanValidation:
                                               scenfile=SCEN)):
             replace(plan, pload=PLOAD, qload=QLOAD).validate()
 
+    @pytest.mark.parametrize("name,value", [
+        ("tol", np.nan), ("tol", np.inf), ("tol", -1.0), ("tol", 0.0),
+        ("max_iter", 0), ("max_iter", -3)])
+    def test_unusable_solver_limits_rejected(self, name, value):
+        """A NaN tolerance ran 200 iterations into MaxIter, and an
+        iteration limit of 0 wrote the start point as the result."""
+        with pytest.raises(errors.InvalidPlan, match=name):
+            RunPlan(application="Opf", netfile=NET,
+                    **{name: value}).validate()
+
     def test_loads_come_in_pairs(self):
         with pytest.raises(errors.InvalidPlan):
             RunPlan(application="Tcopf", netfile=NET,
