@@ -50,13 +50,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import matpower
-from .errors import DimensionMismatch, Disconnected
+from .errors import DimensionMismatch
 from .network import (
     ISOLATED,
     REF,
     NetworkCase,
     branch_admittance,
-    check_connectivity,
+    require_connected,
 )
 from .nlp import CsrPattern, NlpProblem
 
@@ -112,16 +112,8 @@ class _Stage:
                        if b.btype != ISOLATED]
         self.slot = {pos: k for k, pos in enumerate(self.active)}
         self.live_gens = [j for j, g in enumerate(case.gens) if g.status != 0]
-        self.live_branches = []
-        for k, br in enumerate(case.branches):
-            if br.status == 0:
-                continue
-            fp, tp = case.bus_pos[br.fbus], case.bus_pos[br.tbus]
-            if fp not in self.slot or tp not in self.slot:
-                raise Disconnected(
-                    f"in-service branch {br.fbus}-{br.tbus} touches an "
-                    f"isolated bus")
-            self.live_branches.append(k)
+        self.live_branches = [k for k, br in enumerate(case.branches)
+                              if br.status != 0]
         self.rated = [i for i, k in enumerate(self.live_branches)
                       if case.branches[k].rate_a > 0.0]
         self.nb, self.ng = len(self.active), len(self.live_gens)
@@ -231,7 +223,8 @@ class _Engine(_Grid):
 
     weights scale each stage's objective (all 1.0 by default).  `nlp`
     adds the coupling rows, lists the Jacobian and Hessian positions and
-    returns the NLP over all stages.
+    returns the NLP over all stages.  Every case must pass
+    `require_connected`, which its callers check once per topology.
     """
 
     def __init__(self, cases: list[NetworkCase],
@@ -313,15 +306,7 @@ class _Engine(_Grid):
         (a, b) in links: the first n_pins are equalities after the stage
         equalities, the rest lie within -bound..bound after the stage
         inequalities.  `link_rows` then holds each link's row.
-
-        Raises Disconnected when a stage's in-service network is not a
-        single connected component.
         """
-        for st in self.stages:
-            n_islands, _ = check_connectivity(st.case)
-            if n_islands != 1:
-                raise Disconnected(
-                    f"case {st.case.name!r} has {n_islands} islands")
         self.links = np.array(links, dtype=np.intp).reshape(-1, 2)
         bounds = np.array(bounds, dtype=float)
         me_stage, mi_stage = 2 * self.nb, 2 * self.rated.size
@@ -487,6 +472,7 @@ def build_acopf(case: NetworkCase):
     Raises Disconnected when the in-service network is not a single
     connected component (NoReferenceBus is already enforced on parse).
     """
+    require_connected(case)
     e = _Engine([case])
     return e.nlp(f"acopf:{case.name}"), e.stages[0].layout()
 

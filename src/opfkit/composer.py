@@ -12,7 +12,7 @@ linear two-stage coupling rows on generator set-points:
   the first period only.  Corrective mode uses a two-sided box of width
   ramp_30 / base_mva; preventive mode pins Pg of every surviving
   generator not on the reference bus (reference machines absorb the
-  mismatch), optionally also pinning VM at generator buses.
+  mismatch).
 * Scenario rows tie each scenario's base stage to the most probable
   scenario (ties to the lowest id) with a Pg box of the same 30-minute
   width, regardless of mode.  The flat composite has the same scenario
@@ -46,6 +46,7 @@ from .network import (
     Scenario,
     apply_contingency,
     apply_scenario,
+    require_connected,
 )
 from .nlp import NlpProblem
 
@@ -61,11 +62,6 @@ PREVENTIVE_PIN = "PreventivePin"
 @dataclass(frozen=True)
 class CouplingMode:
     kind: str = CORRECTIVE
-    pin_voltages: bool = False
-    # multipliers on the 30-minute ramp width used for the contingency
-    # and scenario deviation bounds
-    contingency_scale: float = 1.0
-    scenario_scale: float = 1.0
 
     def __post_init__(self):
         if self.kind not in (PREVENTIVE, CORRECTIVE):
@@ -77,7 +73,6 @@ class StageSpec:
     scenario: Scenario | None
     contingency: Contingency | None
     period: int
-    dt_minutes: float
     case: NetworkCase
 
 
@@ -88,15 +83,13 @@ class CouplingRow:
     row is the absolute index into the stacked [equalities;
     inequalities] composite constraint vector (-1 until the composite
     is assembled); the row value is always
-    (stage_a quantity) - (stage_b quantity) with stage_a the later or
-    child stage.  gen and bus are positions into the full element lists
-    of the input case; exactly one of them is set.
+    (stage_a Pg) - (stage_b Pg) with stage_a the later or child stage.
+    gen is a position into the full generator list of the input case.
     """
     kind: str
     stage_a: int
     stage_b: int
-    gen: int | None
-    bus: int | None
+    gen: int
     bound: float
     row: int
     is_equality: bool
@@ -166,13 +159,15 @@ def build_lattice(scenarios: ScenarioSet | None, ctgs: ContingencySet | None,
                   periods: list[NetworkCase], dt_minutes: float) -> Lattice:
     """Apply every scenario and contingency to every period; the base
     scenario comes first and the others, like the contingencies after
-    the intact network, follow by id."""
+    the intact network, follow by id.  Raises Disconnected unless the
+    periods' shared network is connected."""
     if not periods:
         raise InvalidPlan("at least one period is required")
     if len(periods) > 1 and not dt_minutes > 0:
         raise InvalidPlan("dt_minutes must be positive for multiple periods")
     for later in periods[1:]:
         _check_topology(periods[0], later)
+    require_connected(periods[0])
     scen_order: list[tuple[Scenario | None, float]] = [(None, 1.0)]
     if scenarios is not None:
         items = list(scenarios.scenarios)
@@ -197,8 +192,7 @@ def build_lattice(scenarios: ScenarioSet | None, ctgs: ContingencySet | None,
                              if ctg else scen_periods)
             for t, case in enumerate(stage_periods):
                 stages.append(StageSpec(scenario=scen, contingency=ctg,
-                                        period=t, dt_minutes=dt_minutes,
-                                        case=case))
+                                        period=t, case=case))
                 weights.append(weight)
     return Lattice(stages=tuple(stages), weights=tuple(weights),
                    shape=(len(scen_order), len(ctg_order), len(periods)))
@@ -219,30 +213,22 @@ class _Builder:
         base_case = self.specs[base].case
         for gp in _live_both(self.specs[child].case, base_case):
             bound = base_case.gens[gp].ramp_30 * scale / base_case.base_mva
-            self.rows.append(CouplingRow(kind, child, base, gp, None, bound,
-                                         -1, False))
+            self.rows.append(CouplingRow(kind, child, base, gp, bound, -1,
+                                         False))
 
     def contingency_rows(self, child: int, base: int,
                          mode: CouplingMode) -> None:
         """A contingency box in corrective mode, else pins."""
         if mode.kind == CORRECTIVE:
-            self.box_rows(CONTINGENCY_BOX, child, base,
-                          mode.contingency_scale)
+            self.box_rows(CONTINGENCY_BOX, child, base, 1.0)
             return
         base_case = self.specs[base].case
-        live = _live_both(self.specs[child].case, base_case)
-        for gp in live:
+        for gp in _live_both(self.specs[child].case, base_case):
             bus_pos = base_case.bus_pos[base_case.gens[gp].bus]
             if base_case.buses[bus_pos].btype == REF:
                 continue    # reference machines absorb the mismatch
             self.rows.append(CouplingRow(PREVENTIVE_PIN, child, base, gp,
-                                         None, 0.0, -1, True))
-        if mode.pin_voltages:
-            live_buses = sorted({base_case.bus_pos[base_case.gens[gp].bus]
-                                 for gp in live})
-            for bp in live_buses:
-                self.rows.append(CouplingRow(PREVENTIVE_PIN, child, base,
-                                             None, bp, 0.0, -1, True))
+                                         0.0, -1, True))
 
     def assemble(self) -> tuple[NlpProblem, CompositeIndexMap]:
         engine = _Engine([s.case for s in self.specs], self.weights)
@@ -251,9 +237,7 @@ class _Builder:
         boxes = [r for r in self.rows if not r.is_equality]
 
         def var_of(r: CouplingRow, stage: int) -> int:
-            lay = layouts[stage]
-            pos = lay.pg[r.gen] if r.gen is not None else lay.vm[r.bus]
-            return int(engine.var_off[stage] + pos)
+            return int(engine.var_off[stage] + layouts[stage].pg[r.gen])
 
         problem = engine.nlp(
             self.name, [(var_of(r, r.stage_a), var_of(r, r.stage_b))
@@ -292,8 +276,7 @@ def compose_general(scenarios: ScenarioSet | None,
         for c in range(1, n_c):
             b.contingency_rows(at(s, c, 0), at(s, 0, 0), mode)
         if s > 0:
-            b.box_rows(SCENARIO_BOX, at(s, 0, 0), at(0, 0, 0),
-                       mode.scenario_scale)
+            b.box_rows(SCENARIO_BOX, at(s, 0, 0), at(0, 0, 0), 1.0)
     return b.assemble()
 
 
@@ -336,5 +319,5 @@ def compose_sopf_flat(base: NetworkCase, scenarios: ScenarioSet,
         if k % n_c:
             b.contingency_rows(k, 0, mode)
         else:
-            b.box_rows(SCENARIO_BOX, k, 0, mode.scenario_scale)
+            b.box_rows(SCENARIO_BOX, k, 0, 1.0)
     return b.assemble()

@@ -72,13 +72,14 @@ inputs produce bitwise-identical iterates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidPlan
 from .nlp import CsrPattern, NlpProblem
 
 OPTIMAL = "Optimal"
@@ -105,12 +106,25 @@ _DELTA0 = 1e-9
 # the module docstring)
 _PANEL_SIZE = 1
 _RELAX = 1
+# start-point margin off each finite bound, relative to the bound
+_PUSH = 1e-2
+# check_derivatives' step, and DerivativeReport.ok's error bounds
+_FD_STEP = 1e-6
+_FD_TOL_FIRST = 1e-6
+_FD_TOL_SECOND = 1e-5
 
 
 @dataclass
 class SolverOptions:
+    """Solver limits, checked on construction (InvalidPlan)."""
     tol: float = 1e-6
     max_iter: int = 200
+
+    def __post_init__(self):
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise InvalidPlan("tol must be finite and positive")
+        if self.max_iter < 1:
+            raise InvalidPlan("max_iter must be at least 1")
 
 
 @dataclass
@@ -453,20 +467,20 @@ class _SparseLdl:
 # --- solver ----------------------------------------------------------------
 
 
-def _push_interior(x, lo, hi, kappa=1e-2):
+def _push_interior(x, lo, hi):
     """Clip into [lo, hi] with a relative margin off each finite bound."""
     x = x.copy()
     width = hi - lo
     fl = np.isfinite(lo)
     fu = np.isfinite(hi)
     pad_l = np.where(fl & fu,
-                     np.minimum(kappa * np.maximum(1.0, np.abs(lo)),
-                                0.5 * kappa * width),
-                     kappa * np.maximum(1.0, np.abs(np.where(fl, lo, 0.0))))
+                     np.minimum(_PUSH * np.maximum(1.0, np.abs(lo)),
+                                0.5 * _PUSH * width),
+                     _PUSH * np.maximum(1.0, np.abs(np.where(fl, lo, 0.0))))
     pad_u = np.where(fl & fu,
-                     np.minimum(kappa * np.maximum(1.0, np.abs(hi)),
-                                0.5 * kappa * width),
-                     kappa * np.maximum(1.0, np.abs(np.where(fu, hi, 0.0))))
+                     np.minimum(_PUSH * np.maximum(1.0, np.abs(hi)),
+                                0.5 * _PUSH * width),
+                     _PUSH * np.maximum(1.0, np.abs(np.where(fu, hi, 0.0))))
     x = np.where(fl, np.maximum(x, lo + pad_l), x)
     x = np.where(fu, np.minimum(x, hi - pad_u), x)
     return x
@@ -779,14 +793,14 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> SolveRes
 
 
 def kkt_error(p: NlpProblem, x: np.ndarray, lambda_eq: np.ndarray,
-              lambda_ineq: np.ndarray, z_lb: np.ndarray, z_ub: np.ndarray,
-              mu: float = 0.0) -> tuple[float, float, float]:
+              lambda_ineq: np.ndarray, z_lb: np.ndarray,
+              z_ub: np.ndarray) -> tuple[float, float, float]:
     """Scaled (stationarity, feasibility, complementarity) at a point.
 
     Stationarity is ||grad f + J' lambda - z_lb + z_ub||_inf over free
     variables (entries with xl == xu are absorbed by their bound pair),
     feasibility the largest equality/inequality/bound violation, and
-    complementarity the largest |gap * multiplier - mu|, with
+    complementarity the largest |gap * multiplier|, with
     lambda_ineq split by sign against the upper/lower sides.  The
     first and third components are divided by
     max(1, ||multipliers||_inf / 100).
@@ -821,9 +835,9 @@ def kkt_error(p: NlpProblem, x: np.ndarray, lambda_eq: np.ndarray,
     fl = np.isfinite(p.xl) & free
     fu = np.isfinite(p.xu) & free
     if fl.any():
-        comps.append((x - p.xl)[fl] * z_lb[fl] - mu)
+        comps.append((x - p.xl)[fl] * z_lb[fl])
     if fu.any():
-        comps.append((p.xu - x)[fu] * z_ub[fu] - mu)
+        comps.append((p.xu - x)[fu] * z_ub[fu])
     if p.m_ineq:
         zl = np.maximum(-lambda_ineq, 0.0)
         zu = np.maximum(lambda_ineq, 0.0)
@@ -831,9 +845,9 @@ def kkt_error(p: NlpProblem, x: np.ndarray, lambda_eq: np.ndarray,
         gl_fin = np.isfinite(p.gl)
         gu_fin = np.isfinite(p.gu)
         if gl_fin.any():
-            comps.append((s - p.gl)[gl_fin] * zl[gl_fin] - mu)
+            comps.append((s - p.gl)[gl_fin] * zl[gl_fin])
         if gu_fin.any():
-            comps.append((p.gu - s)[gu_fin] * zu[gu_fin] - mu)
+            comps.append((p.gu - s)[gu_fin] * zu[gu_fin])
     comp = (float(np.max(np.abs(np.concatenate(comps)))) / sd
             if comps else 0.0)
     return stat, feas, comp
@@ -851,10 +865,10 @@ class DerivativeReport:
     worst_jac: tuple[int, int, float, float]
     worst_hess: tuple[int, int, float, float]
 
-    def ok(self, tol_first: float = 1e-6, tol_second: float = 1e-5) -> bool:
-        return (self.grad_max_rel <= tol_first
-                and self.jac_max_rel <= tol_first
-                and self.hess_max_rel <= tol_second)
+    def ok(self) -> bool:
+        return (self.grad_max_rel <= _FD_TOL_FIRST
+                and self.jac_max_rel <= _FD_TOL_FIRST
+                and self.hess_max_rel <= _FD_TOL_SECOND)
 
 
 def _rel(a: float, b: float) -> float:
@@ -864,8 +878,7 @@ def _rel(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, m)
 
 
-def check_derivatives(p: NlpProblem, x: np.ndarray,
-                      step: float = 1e-6) -> DerivativeReport:
+def check_derivatives(p: NlpProblem, x: np.ndarray) -> DerivativeReport:
     """Compare callbacks against central finite differences at x.
 
     The Hessian is checked against differences of the Lagrangian
@@ -892,19 +905,20 @@ def check_derivatives(p: NlpProblem, x: np.ndarray,
     max_g = max_j = max_h = 0.0
     for i in range(n):
         e = np.zeros(n)
-        e[i] = step
-        fd_f = (p.objective(x + e) - p.objective(x - e)) / (2 * step)
+        e[i] = _FD_STEP
+        fd_f = (p.objective(x + e) - p.objective(x - e)) / (2 * _FD_STEP)
         r = _rel(g[i], fd_f)
         if r > max_g:
             max_g, worst_g = r, (i, float(g[i]), float(fd_f))
         if m:
-            fd_c = (p.constraints(x + e) - p.constraints(x - e)) / (2 * step)
+            fd_c = ((p.constraints(x + e) - p.constraints(x - e))
+                    / (2 * _FD_STEP))
             rel = np.array([_rel(jac[k, i], fd_c[k]) for k in range(m)])
             k = int(np.argmax(rel))
             if rel[k] > max_j:
                 max_j = float(rel[k])
                 worst_j = (k, i, float(jac[k, i]), float(fd_c[k]))
-        fd_h = (lag_grad(x + e) - lag_grad(x - e)) / (2 * step)
+        fd_h = (lag_grad(x + e) - lag_grad(x - e)) / (2 * _FD_STEP)
         rel = np.array([_rel(hess[k, i], fd_h[k]) for k in range(n)])
         k = int(np.argmax(rel))
         if rel[k] > max_h:

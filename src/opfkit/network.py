@@ -17,6 +17,7 @@ from . import matpower
 from .matpower import int_cell
 from .errors import (
     DanglingReference,
+    Disconnected,
     IndexOutOfRange,
     IslandingDetected,
     MissingSection,
@@ -272,6 +273,19 @@ def check_connectivity(case: NetworkCase) -> tuple[int, list[int]]:
                     stack.append(v)
         n_islands += 1
     return n_islands, labels
+
+
+def require_connected(case: NetworkCase) -> None:
+    """Raise Disconnected unless every in-service branch joins two
+    active buses and the in-service network is a single island."""
+    for br in case.branches:
+        ends = (case.buses[case.bus_pos[b]] for b in (br.fbus, br.tbus))
+        if br.status != 0 and any(b.btype == ISOLATED for b in ends):
+            raise Disconnected(f"in-service branch {br.fbus}-{br.tbus} "
+                               "touches an isolated bus")
+    n_islands, _ = check_connectivity(case)
+    if n_islands != 1:
+        raise Disconnected(f"case {case.name!r} has {n_islands} islands")
 
 
 GEN, BRANCH = "GEN", "BRANCH"

@@ -16,7 +16,6 @@ file per stage plus a summary.json.
 from __future__ import annotations
 
 import json
-import math
 import os
 import time
 import traceback
@@ -109,10 +108,8 @@ class RunPlan:
                 raise errors.InvalidPlan(f"{name} must not be negative")
         if self.workers is not None and self.workers < 1:
             raise errors.InvalidPlan("workers must be at least 1")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise errors.InvalidPlan("tol must be finite and positive")
-        if self.max_iter < 1:
-            raise errors.InvalidPlan("max_iter must be at least 1")
+        # raises InvalidPlan for an unusable tol or max_iter
+        SolverOptions(tol=self.tol, max_iter=self.max_iter)
 
     def out_directory(self) -> str:
         return self.outdir or _DEFAULT_OUTDIR[self.application]
@@ -149,23 +146,32 @@ class RunReport:
         return len(self.stages)
 
 
+def _read(parse, *paths):
+    """parse(*paths); a missing or undecodable file raises IoError."""
+    try:
+        return parse(*paths)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise errors.IoError(
+            f"cannot read {' or '.join(map(str, paths))}: {exc}") from exc
+
+
 def _lattice_inputs(plan: RunPlan):
     """Read the plan's files into the application's (scenarios,
     contingencies, periods); a validated plan names only files its
     application uses."""
-    case = load_case(plan.netfile)
+    case = _read(load_case, plan.netfile)
     ctgs = scens = profile = None
     if plan.ctgcfile:
-        ctgs = parse_contingencies_file(plan.ctgcfile)
+        ctgs = _read(parse_contingencies_file, plan.ctgcfile)
         if plan.nc is not None:
             ctgs = ctgs.truncated(plan.nc)
     if plan.scenfile:
-        scens = parse_scenarios_file(plan.scenfile)
+        scens = _read(parse_scenarios_file, plan.scenfile)
         if plan.ns is not None:
             scens = scens.truncated(plan.ns)
         case = declare_wind(case, scens.wind_keys())
     if plan.pload:
-        profile = parse_load_profile_files(plan.pload, plan.qload)
+        profile = _read(parse_load_profile_files, plan.pload, plan.qload)
     nt = 1 if plan.application == OPF else plan.nt
     if nt is None:
         nt = len(profile.times) if profile else 1
@@ -207,15 +213,13 @@ def _stage_keys(specs) -> list[tuple[int, int, int]]:
 # --- EMPAR ------------------------------------------------------------------
 
 
-def _anchored(case: NetworkCase, base_sol: SolvedCase,
-              scale: float) -> NetworkCase:
-    """Tighten generator dispatch boxes around a solved base dispatch."""
+def _anchored(case: NetworkCase, base_sol: SolvedCase) -> NetworkCase:
+    """Box each unit's dispatch to its 30-minute ramp around base_sol."""
     gens = []
     for j, g in enumerate(case.gens):
         if g.status and base_sol.case.gens[j].status:
-            delta = g.ramp_30 * scale
-            lo = max(g.pmin, base_sol.pg[j] - delta)
-            hi = min(g.pmax, base_sol.pg[j] + delta)
+            lo = max(g.pmin, base_sol.pg[j] - g.ramp_30)
+            hi = min(g.pmax, base_sol.pg[j] + g.ramp_30)
             gens.append(replace(g, pmin=lo, pmax=hi))
         else:
             gens.append(g)
@@ -258,10 +262,7 @@ def _solve_chains(plan: RunPlan, lattice: Lattice, chains: list[range]):
     for ks in chains:
         cases = [lattice.stages[k].case for k in ks]
         if anchor is not None and ks[0] != 0:
-            scale = (plan.mode.contingency_scale
-                     if lattice.stages[ks[0]].contingency
-                     else plan.mode.scenario_scale)
-            cases = [_anchored(c, anchor, scale) for c in cases]
+            cases = [_anchored(c, anchor) for c in cases]
         payloads.append((tuple(cases), plan.dt_minutes, plan.tol,
                          plan.max_iter))
     workers = min(plan.workers or os.cpu_count() or 1, len(payloads))
@@ -366,15 +367,15 @@ def _stage_path(plan: RunPlan, st: StageReport) -> list[str]:
     return parts
 
 
-def write_output_tree(report: RunReport, plan: RunPlan | None = None) -> str:
+def write_output_tree(report: RunReport) -> str:
     """Write one MATPOWER file per stage plus summary.json.
 
-    Layout: <outdir>/scen_<s>/cont_<c>/t_<t>.m with the scenario and
-    contingency levels omitted for applications without that
-    dimension.  Each file's function name equals its stem.  Returns
-    the output directory path.
+    Layout: <outdir>/scen_<s>/cont_<c>/t_<t>.m under the report's plan,
+    with the scenario and contingency levels omitted for applications
+    without that dimension.  Each file's function name equals its stem.
+    Returns the output directory path.
     """
-    plan = plan or report.plan
+    plan = report.plan
     outdir = plan.out_directory()
     try:
         os.makedirs(outdir, exist_ok=True)

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from opfkit import cli, errors
@@ -211,6 +212,52 @@ class TestEntry:
                           "--qload", str(q), "--outdir", str(tmp_path / "o")])
         assert code == cli.EXIT_USAGE
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--netfile", "--ctgcfile"])
+    def test_undecodable_input_exits_2(self, tmp_path, capsys, flag):
+        """200 random bytes ended in a UnicodeDecodeError traceback."""
+        junk = tmp_path / "junk"
+        junk.write_bytes(np.random.default_rng(0).bytes(200))
+        files = {"--netfile": NET, "--ctgcfile": CTG, flag: str(junk)}
+        code = cli.entry(["scopflow", "--netfile", files["--netfile"],
+                          "--ctgcfile", files["--ctgcfile"],
+                          "--outdir", str(tmp_path / "out")])
+        assert code == cli.EXIT_USAGE
+        assert f"error: cannot read {junk}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("column,value", [
+        (11, "0"),      # branch 3-9 out of service islands bus 3
+        (2, "4")])      # bus 3 isolated under the live branch 3-9
+    @pytest.mark.parametrize("command,structure", [
+        ("scopflow", "empar"), ("sopflow", "monolithic"),
+        ("sopflow", "flat"), ("sopflow", "empar")])
+    def test_disconnected_network_exits_2(self, tmp_path, capsys, command,
+                                          structure, column, value):
+        """Every structure rejects the network before any solve; Empar
+        used to exit 3 with every chain an Error stage."""
+        prefix = "\t3\t9\t" if column == 11 else "\t3\t2\t"
+        lines = []
+        with open(NET, encoding="utf-8") as fh:
+            for line in fh:
+                cells = line.split("\t")
+                if line.startswith(prefix):
+                    cells[column] = value
+                lines.append("\t".join(cells))
+        net = tmp_path / "case9.m"
+        net.write_text("".join(lines))
+        ctg = tmp_path / "gen.cont"
+        ctg.write_text("ctgc_id,kind,bus_or_fbus,tbus_or_dash,ordinal\n"
+                       "1,GEN,2,-,1\n")
+        scen = ["--scenfile", SCEN] if command == "sopflow" else []
+        code = cli.entry([command, "--netfile", str(net), "--ctgcfile",
+                          str(ctg), *scen, "--structure", structure,
+                          "--workers", "1", "--outdir", str(tmp_path / "o")])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert ("has 2 islands" if column == 11
+                else "branch 3-9 touches an isolated bus") in err
+        assert not (tmp_path / "o").exists()
 
     def test_usage_error_propagates_argparse_exit(self):
         with pytest.raises(SystemExit) as exc:

@@ -77,11 +77,8 @@ def stacked_reference(imap, x, sigma, mult):
             out[1].append(a + mat.col)
             out[2].append(mat.data)
     for r in imap.coupling_rows:
-        ab = []
-        for k in (r.stage_a, r.stage_b):
-            lay = imap.layouts[k]
-            pos = lay.pg[r.gen] if r.gen is not None else lay.vm[r.bus]
-            ab.append(imap.var_offset[k] + pos)
+        ab = [imap.var_offset[k] + imap.layouts[k].pg[r.gen]
+              for k in (r.stage_a, r.stage_b)]
         cons[r.row] = x[ab[0]] - x[ab[1]]
         jac[0].append([r.row, r.row])
         jac[1].append(ab)
@@ -213,9 +210,19 @@ class TestLatticeProperties:
                           for x in lattice.stages]
         assert imap.weights == lattice.weights
         # every row links the pairs its kind names, and every such pair
-        # has rows (no unit of case9 is outaged by a branch contingency)
+        # has rows (no unit of case9 is outaged by a branch contingency);
+        # every row names a generator live on both stages, and its bound
+        # is the unit's ramp over dt, its full 30-minute ramp, or 0
         links = {}
         for r in imap.coupling_rows:
+            ramp_30 = case9.gens[r.gen].ramp_30
+            assert all(imap.stages[k].case.gens[r.gen].status
+                       for k in (r.stage_a, r.stage_b))
+            assert r.bound == {
+                RAMP: ramp_30 * (5.0 / 30.0) / case9.base_mva,
+                CONTINGENCY_BOX: ramp_30 / case9.base_mva,
+                SCENARIO_BOX: ramp_30 / case9.base_mva,
+                PREVENTIVE_PIN: 0.0}[r.kind]
             group = "ctg" if r.kind in (CONTINGENCY_BOX,
                                         PREVENTIVE_PIN) else r.kind
             links.setdefault(group, set()).add((pos[r.stage_a],
@@ -251,13 +258,9 @@ class TestEngineMatchesStages:
         assert len(imap.stages) == 60
         assert_matches_stages(problem, imap, np.random.default_rng(11))
 
-    def test_flat_and_voltage_pins(self, case9, scens, ctgs):
+    def test_flat_composite(self, case9, scens, ctgs):
         flat = compose_sopf_flat(case9, scens, ctgs, PREV)
         assert_matches_stages(*flat, np.random.default_rng(12))
-        pins = compose_general(scens, ctgs.truncated(3), [case9],
-                               CouplingMode(kind="preventive",
-                                            pin_voltages=True), 30.0)
-        assert_matches_stages(*pins, np.random.default_rng(13))
 
 
 class TestCompositeDerivatives:
@@ -301,15 +304,6 @@ class TestCouplingRows:
         assert len(pins) == 1
         assert pins[0].gen == 2 and pins[0].is_equality
 
-    def test_voltage_pins_optional(self, case9, ctgs):
-        gen2_out = ContingencySet(ctgs.by_id()[:1])
-        _, imap = compose_scopf(case9, gen2_out,
-                                CouplingMode(kind="preventive",
-                                             pin_voltages=True))
-        pins = [r for r in imap.coupling_rows if r.kind == PREVENTIVE_PIN]
-        assert len(pins) == 3                      # 1 Pg pin + 2 VM pins
-        assert sum(r.bus is not None for r in pins) == 2
-
     def test_ramp_bounds_scale_with_dt(self, case9):
         _, imap = compose_multiperiod([case9] * 3, 5.0)
         ramps = [r for r in imap.coupling_rows if r.kind == RAMP]
@@ -340,13 +334,6 @@ class TestCouplingRows:
         child_var = imap.var_offset[1] + imap.layouts[1].pg[0]
         x[child_var] += 0.02
         assert p.constraints(x)[ramp0.row] == pytest.approx(0.02)
-
-    def test_scale_multipliers(self, case9, ctgs):
-        one = ContingencySet(tuple(ctgs.by_id()[2:3]))
-        mode = CouplingMode(kind="corrective", contingency_scale=0.5)
-        _, imap = compose_scopf(case9, one, mode)
-        boxes = [r for r in imap.coupling_rows if r.kind == CONTINGENCY_BOX]
-        assert sorted(r.bound for r in boxes) == [0.15, 0.15, 2.25]
 
 
 class TestReductionLaws:

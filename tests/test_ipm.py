@@ -95,6 +95,15 @@ class TestStatuses:
         assert r.status == "MaxIter"
         assert r.iterations <= 3
 
+    @pytest.mark.parametrize("name,value", [
+        ("tol", np.nan), ("tol", np.inf), ("tol", -1.0), ("tol", 0.0),
+        ("max_iter", 0), ("max_iter", -3)])
+    def test_unusable_limits_rejected(self, name, value):
+        """solve() ran a NaN tolerance 50 iterations into MaxIter and
+        returned the start point for max_iter=0."""
+        with pytest.raises(errors.InvalidPlan, match=name):
+            SolverOptions(**{name: value})
+
     def test_fixed_variable_stays_fixed(self):
         p, _ = qp_inequality()
         p.xl = np.array([0.25, -np.inf])

@@ -169,6 +169,17 @@ class TestMonolithic:
         report = run(scopf_plan(nc=1))
         assert report.stage_count() == 2
 
+    @pytest.mark.parametrize("name", ["netfile", "ctgcfile"])
+    @pytest.mark.parametrize("junk", [False, True])
+    def test_unreadable_input_is_io_error(self, tmp_path, name, junk):
+        """A missing file raised FileNotFoundError and 200 random bytes
+        UnicodeDecodeError, not the package's IoError."""
+        path = tmp_path / "input"
+        if junk:
+            path.write_bytes(np.random.default_rng(0).bytes(200))
+        with pytest.raises(errors.IoError, match=f"cannot read {path}"):
+            run(scopf_plan(**{name: str(path)}))
+
     @pytest.mark.parametrize("application,structure", [
         ("Scopf", "Monolithic"), ("Sopf", "Flat"), ("Sopf", "Monolithic")])
     def test_single_period_profile_sets_loads(self, tmp_path, application,
