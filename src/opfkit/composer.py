@@ -13,6 +13,9 @@ linear two-stage coupling rows on generator set-points:
   ramp_30 / base_mva; preventive mode pins Pg of every surviving
   generator not on the reference bus (reference machines absorb the
   mismatch).
+* A box whose bound is 0 (a unit with ramp_30 = 0, as in MATPOWER
+  files without ramp columns) is emitted as a pin, an equality row: a
+  zero-width box would leave its slack no interior.
 * Scenario rows tie each scenario's base stage to the most probable
   scenario (ties to the lowest id) with a Pg box of the same 30-minute
   width, regardless of mode.  The flat composite has the same scenario
@@ -34,6 +37,7 @@ stage-major, and the CompositeIndexMap locates each stage's block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .acopf import AcopfLayout, _Engine
@@ -163,8 +167,9 @@ def build_lattice(scenarios: ScenarioSet | None, ctgs: ContingencySet | None,
     periods' shared network is connected."""
     if not periods:
         raise InvalidPlan("at least one period is required")
-    if len(periods) > 1 and not dt_minutes > 0:
-        raise InvalidPlan("dt_minutes must be positive for multiple periods")
+    if len(periods) > 1 and not 0 < dt_minutes < math.inf:
+        raise InvalidPlan(
+            "dt_minutes must be finite and positive for multiple periods")
     for later in periods[1:]:
         _check_topology(periods[0], later)
     require_connected(periods[0])
@@ -209,12 +214,13 @@ class _Builder:
 
     def box_rows(self, kind: str, child: int, base: int,
                  scale: float) -> None:
-        """|Pg_child - Pg_base| <= scale * ramp_30 for shared live units."""
+        """|Pg_child - Pg_base| <= scale * ramp_30 for shared live units;
+        a bound of 0 is a pin (an equality row)."""
         base_case = self.specs[base].case
         for gp in _live_both(self.specs[child].case, base_case):
             bound = base_case.gens[gp].ramp_30 * scale / base_case.base_mva
             self.rows.append(CouplingRow(kind, child, base, gp, bound, -1,
-                                         False))
+                                         bound == 0.0))
 
     def contingency_rows(self, child: int, base: int,
                          mode: CouplingMode) -> None:

@@ -468,22 +468,16 @@ class _SparseLdl:
 
 
 def _push_interior(x, lo, hi):
-    """Clip into [lo, hi] with a relative margin off each finite bound."""
-    x = x.copy()
-    width = hi - lo
-    fl = np.isfinite(lo)
-    fu = np.isfinite(hi)
-    pad_l = np.where(fl & fu,
-                     np.minimum(_PUSH * np.maximum(1.0, np.abs(lo)),
-                                0.5 * _PUSH * width),
-                     _PUSH * np.maximum(1.0, np.abs(np.where(fl, lo, 0.0))))
-    pad_u = np.where(fl & fu,
-                     np.minimum(_PUSH * np.maximum(1.0, np.abs(hi)),
-                                0.5 * _PUSH * width),
-                     _PUSH * np.maximum(1.0, np.abs(np.where(fu, hi, 0.0))))
-    x = np.where(fl, np.maximum(x, lo + pad_l), x)
-    x = np.where(fu, np.minimum(x, hi - pad_u), x)
-    return x
+    """Clip into [lo, hi] with a margin off each finite bound b of
+    _PUSH * max(1, |b|), at most _PUSH / 2 of the width when both are."""
+    fl, fu = np.isfinite(lo), np.isfinite(hi)
+    cap = np.where(fl & fu, 0.5 * _PUSH * (hi - lo), np.inf)
+
+    def pad(b, fin):
+        b = np.where(fin, b, 0.0)
+        return np.minimum(_PUSH * np.maximum(1.0, np.abs(b)), cap)
+    x = np.where(fl, np.maximum(x, lo + pad(lo, fl)), x)
+    return np.where(fu, np.minimum(x, hi - pad(hi, fu)), x)
 
 
 def _amax(v: np.ndarray) -> float:
@@ -494,9 +488,7 @@ def _amax(v: np.ndarray) -> float:
 def _max_step(v, dv, tau):
     """Largest alpha in (0, 1] with v + alpha dv >= (1 - tau) v."""
     mask = dv < 0.0
-    if not np.any(mask):
-        return 1.0
-    return float(min(1.0, np.min(-tau * v[mask] / dv[mask])))
+    return float(np.min(-tau * v[mask] / dv[mask], initial=1.0))
 
 
 class _Ipm:
@@ -600,9 +592,10 @@ class _Ipm:
             feas_u = max(_amax(ce / v.s_c[:me]), _amax(ri / v.s_c[me:]))
             comp_u = _amax(prods) / s_f / sd_u
             kkt_out = (stat_u, feas_u, comp_u)
-            if max(kkt_out) <= opt.tol:
+            # all(), not max(): Python's max skips a NaN that is not first
+            if all(v <= opt.tol for v in kkt_out):
                 check = self._kkt_original(x, lam_e, zl, zu)
-                if max(check) <= opt.tol:
+                if all(v <= opt.tol for v in check):
                     kkt_out = check
                     status = OPTIMAL
                     break
@@ -798,59 +791,36 @@ def kkt_error(p: NlpProblem, x: np.ndarray, lambda_eq: np.ndarray,
     """Scaled (stationarity, feasibility, complementarity) at a point.
 
     Stationarity is ||grad f + J' lambda - z_lb + z_ub||_inf over free
-    variables (entries with xl == xu are absorbed by their bound pair),
-    feasibility the largest equality/inequality/bound violation, and
-    complementarity the largest |gap * multiplier|, with
-    lambda_ineq split by sign against the upper/lower sides.  The
-    first and third components are divided by
-    max(1, ||multipliers||_inf / 100).
+    variables (xl != xu), feasibility the largest equality residual or
+    bound violation, and complementarity the largest |gap * multiplier|
+    over the finite entries of four sides: x lower and upper (free
+    variables, z_lb and z_ub) and row lower and upper (rows clipped into
+    [gl, gu], lambda_ineq split by sign).  Stationarity and
+    complementarity are divided by s_d = max(1, ||multipliers||_inf /
+    100).  A NaN input makes its component NaN.
     """
     for name, vec, m in (("x", x, p.n), ("lambda_eq", lambda_eq, p.m_eq),
                          ("lambda_ineq", lambda_ineq, p.m_ineq),
                          ("z_lb", z_lb, p.n), ("z_ub", z_ub, p.n)):
         if vec.shape != (m,):
             raise DimensionMismatch(f"{name} has shape {vec.shape}")
-
-    c = p.constraints(x)
-    ce, ci = c[:p.m_eq], c[p.m_eq:]
-    jac = p.jacobian(x)
-    r = p.gradient(x) - z_lb + z_ub
-    if p.m_eq + p.m_ineq:
-        r = r + jac.T @ np.concatenate([lambda_eq, lambda_ineq])
+    ce, ci = np.split(p.constraints(x), [p.m_eq])
+    lam = np.concatenate([lambda_eq, lambda_ineq])
+    r = p.gradient(x) - z_lb + z_ub + p.jacobian(x).T @ lam
     free = p.xl != p.xu
-    mults = np.concatenate([lambda_eq, lambda_ineq, z_lb, z_ub])
-    sd = max(1.0, (float(np.max(np.abs(mults))) if mults.size else 0.0) / 100.0)
-    stat = float(np.max(np.abs(r[free]))) / sd if free.any() else 0.0
-
-    feas = float(np.max(np.abs(ce))) if p.m_eq else 0.0
-    if p.m_ineq:
-        feas = max(feas,
-                   float(np.max(np.maximum(p.gl - ci, 0.0))),
-                   float(np.max(np.maximum(ci - p.gu, 0.0))))
-    feas = max(feas,
-               float(np.max(np.maximum(p.xl - x, 0.0), initial=0.0)),
-               float(np.max(np.maximum(x - p.xu, 0.0), initial=0.0)))
-
-    comps = []
-    fl = np.isfinite(p.xl) & free
-    fu = np.isfinite(p.xu) & free
-    if fl.any():
-        comps.append((x - p.xl)[fl] * z_lb[fl])
-    if fu.any():
-        comps.append((p.xu - x)[fu] * z_ub[fu])
-    if p.m_ineq:
-        zl = np.maximum(-lambda_ineq, 0.0)
-        zu = np.maximum(lambda_ineq, 0.0)
-        s = np.clip(ci, p.gl, p.gu)
-        gl_fin = np.isfinite(p.gl)
-        gu_fin = np.isfinite(p.gu)
-        if gl_fin.any():
-            comps.append((s - p.gl)[gl_fin] * zl[gl_fin])
-        if gu_fin.any():
-            comps.append((p.gu - s)[gu_fin] * zu[gu_fin])
-    comp = (float(np.max(np.abs(np.concatenate(comps)))) / sd
-            if comps else 0.0)
-    return stat, feas, comp
+    sd = max(1.0, _amax(np.concatenate([lam, z_lb, z_ub])) / 100.0)
+    # [variables; rows] on each side, the sides stacked [lower; upper]
+    lo, hi = np.concatenate([p.xl, p.gl]), np.concatenate([p.xu, p.gu])
+    val = np.concatenate([x, ci])
+    at = np.concatenate([x, np.clip(ci, p.gl, p.gu)])
+    live = (np.isfinite(np.concatenate([lo, hi]))
+            & np.tile(np.concatenate([free, np.ones(p.m_ineq, bool)]), 2))
+    gaps = np.concatenate([at - lo, hi - at])[live]
+    mults = np.concatenate([z_lb, np.maximum(-lambda_ineq, 0.0), z_ub,
+                            np.maximum(lambda_ineq, 0.0)])[live]
+    feas = _amax(np.concatenate([ce, np.maximum(lo - val, 0.0),
+                                 np.maximum(val - hi, 0.0)]))
+    return _amax(r[free]) / sd, feas, _amax(gaps * mults) / sd
 
 
 # --- derivative checking ---------------------------------------------------
@@ -871,59 +841,45 @@ class DerivativeReport:
                 and self.hess_max_rel <= _FD_TOL_SECOND)
 
 
-def _rel(a: float, b: float) -> float:
-    m = max(abs(a), abs(b))
-    if m <= 1e-8:
-        return 0.0
-    return abs(a - b) / max(1.0, m)
+def _worst(analytic: np.ndarray, fd: np.ndarray):
+    """(error, (row, column, a, fd)) of check_derivatives' worst entry."""
+    rows, cols = np.indices(analytic.shape)
+    # variable-major; the leading 0 stands for every error being 0
+    a, b, rows, cols = (np.concatenate([[0], v.T.ravel()])
+                        for v in (analytic, fd, rows, cols))
+    big = np.maximum(np.abs(a), np.abs(b))
+    err = np.where(big <= 1e-8, 0.0, np.abs(a - b) / np.maximum(1.0, big))
+    k = int(np.argmax(err))     # the first maximum, or the first NaN
+    return float(err[k]), (int(rows[k]), int(cols[k]), float(a[k]),
+                           float(b[k]))
 
 
 def check_derivatives(p: NlpProblem, x: np.ndarray) -> DerivativeReport:
     """Compare callbacks against central finite differences at x.
 
-    The Hessian is checked against differences of the Lagrangian
-    gradient with obj_factor 1 and a deterministic multiplier vector.
-    Entries of magnitude at most 1e-8 are skipped.
+    An entry's error is |a - fd| / max(1, |a|, |fd|), 0 when |a| and |fd|
+    are at most 1e-8; the Hessian is checked against differences of the
+    Lagrangian gradient with obj_factor 1 and a fixed multiplier vector.
+    Each worst entry is the first largest error in variable-major order,
+    zeros when every error is 0; a NaN is the worst, and fails ok().
     """
     n, m = p.n, p.m_eq + p.m_ineq
-    rng = np.random.default_rng(0)
-    mult = rng.uniform(-1.0, 1.0, m)
-
-    g = p.gradient(x)
-    jac = p.jacobian(x).toarray()
-    hess = p.lagrangian_hessian(x, 1.0, mult).toarray()
+    mult = np.random.default_rng(0).uniform(-1.0, 1.0, m)
 
     def lag_grad(pt):
         out = p.gradient(pt)
-        if m:
-            out = out + p.jacobian(pt).T @ mult
-        return out
+        return out + p.jacobian(pt).T @ mult if m else out
 
-    worst_g = (0, 0.0, 0.0)
-    worst_j = (0, 0, 0.0, 0.0)
-    worst_h = (0, 0, 0.0, 0.0)
-    max_g = max_j = max_h = 0.0
+    cols = []   # per variable: a column of fd_f, fd_c and fd_h
     for i in range(n):
         e = np.zeros(n)
         e[i] = _FD_STEP
-        fd_f = (p.objective(x + e) - p.objective(x - e)) / (2 * _FD_STEP)
-        r = _rel(g[i], fd_f)
-        if r > max_g:
-            max_g, worst_g = r, (i, float(g[i]), float(fd_f))
-        if m:
-            fd_c = ((p.constraints(x + e) - p.constraints(x - e))
-                    / (2 * _FD_STEP))
-            rel = np.array([_rel(jac[k, i], fd_c[k]) for k in range(m)])
-            k = int(np.argmax(rel))
-            if rel[k] > max_j:
-                max_j = float(rel[k])
-                worst_j = (k, i, float(jac[k, i]), float(fd_c[k]))
-        fd_h = (lag_grad(x + e) - lag_grad(x - e)) / (2 * _FD_STEP)
-        rel = np.array([_rel(hess[k, i], fd_h[k]) for k in range(n)])
-        k = int(np.argmax(rel))
-        if rel[k] > max_h:
-            max_h = float(rel[k])
-            worst_h = (k, i, float(hess[k, i]), float(fd_h[k]))
-    return DerivativeReport(grad_max_rel=max_g, jac_max_rel=max_j,
-                            hess_max_rel=max_h, worst_grad=worst_g,
-                            worst_jac=worst_j, worst_hess=worst_h)
+        cols.append([(fn(x + e) - fn(x - e)) / (2 * _FD_STEP)
+                     for fn in (p.objective, p.constraints, lag_grad)])
+    fd_f, fd_c, fd_h = (np.array(col).T for col in zip(*cols))
+    max_g, (_, i, g_i, fd_i) = _worst(p.gradient(x)[None], fd_f[None])
+    max_j, worst_j = _worst(p.jacobian(x).toarray(), fd_c)
+    max_h, worst_h = _worst(p.lagrangian_hessian(x, 1.0, mult).toarray(),
+                            fd_h)
+    return DerivativeReport(max_g, max_j, max_h, (i, g_i, fd_i), worst_j,
+                            worst_h)

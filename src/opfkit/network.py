@@ -277,12 +277,17 @@ def check_connectivity(case: NetworkCase) -> tuple[int, list[int]]:
 
 def require_connected(case: NetworkCase) -> None:
     """Raise Disconnected unless every in-service branch joins two
-    active buses and the in-service network is a single island."""
+    active buses, every in-service generator sits on an active bus, and
+    the in-service network is a single island."""
     for br in case.branches:
         ends = (case.buses[case.bus_pos[b]] for b in (br.fbus, br.tbus))
         if br.status != 0 and any(b.btype == ISOLATED for b in ends):
             raise Disconnected(f"in-service branch {br.fbus}-{br.tbus} "
                                "touches an isolated bus")
+    for g in case.gens:
+        if g.status != 0 and case.buses[case.bus_pos[g.bus]].btype == ISOLATED:
+            raise Disconnected(f"in-service generator at bus {g.bus} sits "
+                               "on an isolated bus")
     n_islands, _ = check_connectivity(case)
     if n_islands != 1:
         raise Disconnected(f"case {case.name!r} has {n_islands} islands")

@@ -16,6 +16,7 @@ file per stage plus a summary.json.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 import traceback
@@ -101,8 +102,9 @@ class RunPlan:
                 "load profiles need both the P and the Q file")
         if self.nt is not None and self.nt < 1:
             raise errors.InvalidPlan("nt must be at least 1")
-        if self.nt is not None and self.nt > 1 and not self.dt_minutes > 0:
-            raise errors.InvalidPlan("dt_minutes must be positive")
+        if (self.nt is not None and self.nt > 1
+                and not 0 < self.dt_minutes < math.inf):
+            raise errors.InvalidPlan("dt_minutes must be finite and positive")
         for name in ("nc", "ns"):
             if getattr(self, name) is not None and getattr(self, name) < 0:
                 raise errors.InvalidPlan(f"{name} must not be negative")

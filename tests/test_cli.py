@@ -226,37 +226,46 @@ class TestEntry:
         assert f"error: cannot read {junk}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("column,value", [
-        (11, "0"),      # branch 3-9 out of service islands bus 3
-        (2, "4")])      # bus 3 isolated under the live branch 3-9
+    @pytest.mark.parametrize("edits,error", [
+        # branch 3-9 out of service islands bus 3
+        pytest.param({"\t3\t9\t": (11, "0")}, "has 2 islands", id="11-0"),
+        # bus 3 isolated under the live branch 3-9
+        pytest.param({"\t3\t2\t": (2, "4")},
+                     "branch 3-9 touches an isolated bus", id="2-4"),
+        # both: bus 3 isolated with its generator still in service
+        pytest.param({"\t3\t9\t": (11, "0"), "\t3\t2\t": (2, "4")},
+                     "generator at bus 3 sits on an isolated bus",
+                     id="2-4-11-0")])
     @pytest.mark.parametrize("command,structure", [
-        ("scopflow", "empar"), ("sopflow", "monolithic"),
+        ("opflow", None), ("scopflow", "empar"), ("sopflow", "monolithic"),
         ("sopflow", "flat"), ("sopflow", "empar")])
     def test_disconnected_network_exits_2(self, tmp_path, capsys, command,
-                                          structure, column, value):
+                                          structure, edits, error):
         """Every structure rejects the network before any solve; Empar
-        used to exit 3 with every chain an Error stage."""
-        prefix = "\t3\t9\t" if column == 11 else "\t3\t2\t"
+        used to exit 3 with every chain an Error stage, and a live unit
+        on an isolated bus ended in a KeyError traceback."""
         lines = []
         with open(NET, encoding="utf-8") as fh:
             for line in fh:
                 cells = line.split("\t")
-                if line.startswith(prefix):
-                    cells[column] = value
+                for prefix, (column, value) in edits.items():
+                    if line.startswith(prefix):
+                        cells[column] = value
                 lines.append("\t".join(cells))
         net = tmp_path / "case9.m"
         net.write_text("".join(lines))
         ctg = tmp_path / "gen.cont"
         ctg.write_text("ctgc_id,kind,bus_or_fbus,tbus_or_dash,ordinal\n"
                        "1,GEN,2,-,1\n")
-        scen = ["--scenfile", SCEN] if command == "sopflow" else []
-        code = cli.entry([command, "--netfile", str(net), "--ctgcfile",
-                          str(ctg), *scen, "--structure", structure,
-                          "--workers", "1", "--outdir", str(tmp_path / "o")])
+        flags = [] if structure is None else [
+            "--ctgcfile", str(ctg), "--structure", structure,
+            "--workers", "1"]
+        if command == "sopflow":
+            flags += ["--scenfile", SCEN]
+        code = cli.entry([command, "--netfile", str(net), *flags,
+                          "--outdir", str(tmp_path / "o")])
         assert code == cli.EXIT_USAGE
-        err = capsys.readouterr().err
-        assert ("has 2 islands" if column == 11
-                else "branch 3-9 touches an isolated bus") in err
+        assert error in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_usage_error_propagates_argparse_exit(self):
@@ -289,6 +298,17 @@ class TestEntry:
                           "--outdir", str(tmp_path / "out")])
         assert code == cli.EXIT_USAGE
         assert "dt_minutes" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("dt", ["inf", "1e400"])
+    def test_infinite_dt_exits_2(self, tmp_path, capsys, dt):
+        """An infinite step made every ramp bound infinite, and a zero
+        ramp times it NaN, which the solver read as no bound."""
+        code = cli.entry(["tcopflow", "--netfile", NET, "--nt", "3",
+                          "--dt", dt, "--outdir", str(tmp_path / "out")])
+        assert code == cli.EXIT_USAGE
+        assert "dt_minutes must be finite and positive" in \
+            capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flags", [

@@ -304,6 +304,17 @@ class TestCouplingRows:
         assert len(pins) == 1
         assert pins[0].gen == 2 and pins[0].is_equality
 
+    def test_zero_bound_is_a_pin(self, case9):
+        """A unit without a ramp limit (ramp_30 = 0) is pinned across
+        periods by equality rows; a zero-width box gave its slack no
+        interior and the solve failed at its first iteration."""
+        gens = tuple(replace(g, ramp_30=0.0) for g in case9.gens)
+        p, imap = compose_multiperiod([replace(case9, gens=gens)] * 2, 5.0)
+        ramps = [r for r in imap.coupling_rows if r.kind == RAMP]
+        assert len(ramps) == 3
+        assert all(r.is_equality and r.bound == 0.0 and r.row < p.m_eq
+                   for r in ramps)
+
     def test_ramp_bounds_scale_with_dt(self, case9):
         _, imap = compose_multiperiod([case9] * 3, 5.0)
         ramps = [r for r in imap.coupling_rows if r.kind == RAMP]
@@ -432,8 +443,9 @@ class TestComposerErrors:
             compose_multiperiod([], 5.0)
 
     def test_nonpositive_dt(self, case9):
-        with pytest.raises(errors.InvalidPlan):
-            compose_multiperiod([case9, case9], 0.0)
+        for dt in (0.0, -5.0, math.nan, math.inf):
+            with pytest.raises(errors.InvalidPlan, match="finite"):
+                compose_multiperiod([case9, case9], dt)
 
     def test_unknown_mode_kind(self):
         with pytest.raises(errors.InvalidPlan):

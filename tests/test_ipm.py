@@ -1,5 +1,8 @@
 """Interior-point solver: analytic oracles, statuses, and invariants."""
 
+import copy
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -17,7 +20,8 @@ from opfkit import (
     kkt_error,
     solve,
 )
-from opfkit.ipm import _Kkt, _kkt_lower, _SparseLdl, _View
+from opfkit.ipm import (DerivativeReport, _Ipm, _Kkt, _kkt_lower,
+                        _SparseLdl, _View)
 
 from problems import (
     concave_box,
@@ -103,6 +107,15 @@ class TestStatuses:
         returned the start point for max_iter=0."""
         with pytest.raises(errors.InvalidPlan, match=name):
             SolverOptions(**{name: value})
+
+    def test_nan_certificate_does_not_certify(self, monkeypatch):
+        """Python's max skips a NaN that is not the first entry, so a
+        certificate of (0, nan, 0) ended the solve Optimal."""
+        monkeypatch.setattr(_Ipm, "_kkt_original",
+                            lambda self, *args: (0.0, np.nan, 0.0))
+        p, _ = qp_inequality()
+        r = solve(p, SolverOptions(max_iter=30))
+        assert r.status != "Optimal"
 
     def test_fixed_variable_stays_fixed(self):
         p, _ = qp_inequality()
@@ -524,7 +537,92 @@ class TestIterationLog:
             assert rec.min_bound_gap > 0.0
 
 
+def _with_fixed_variable():
+    p, _ = qp_inequality()
+    p.xl = np.array([0.25, -np.inf])
+    p.xu = np.array([0.25, np.inf])
+    return p
+
+
+# every problem of problems.py, one with a fixed variable, and case9
+_KKT_PROBLEMS = {f.__name__: f for f in (
+    qp_inequality, qp_equality, qp_active_bound, qp_bound_sides,
+    concave_box, infeasible_box, rosenbrock, _with_fixed_variable)}
+
+
+def _kkt_reference(p, x, lambda_eq, lambda_ineq, z_lb, z_ub):
+    """kkt_error as its docstring states it, one entry at a time."""
+    c = p.constraints(x)
+    jac = p.jacobian(x).toarray()
+    g = p.gradient(x)
+    lam = np.concatenate([lambda_eq, lambda_ineq])
+    mults = np.concatenate([lam, z_lb, z_ub])
+    sd = max(1.0, max((abs(v) for v in mults), default=0.0) / 100.0)
+    stat = feas = comp = 0.0
+    for j in range(p.n):
+        feas = max(feas, p.xl[j] - x[j], x[j] - p.xu[j])
+        if p.xl[j] == p.xu[j]:
+            continue
+        r = g[j] + jac[:, j] @ lam - z_lb[j] + z_ub[j]
+        stat = max(stat, abs(r))
+        if np.isfinite(p.xl[j]):
+            comp = max(comp, abs((x[j] - p.xl[j]) * z_lb[j]))
+        if np.isfinite(p.xu[j]):
+            comp = max(comp, abs((p.xu[j] - x[j]) * z_ub[j]))
+    for k in range(p.m_eq):
+        feas = max(feas, abs(c[k]))
+    for k in range(p.m_ineq):
+        v, lo, hi, lam_k = c[p.m_eq + k], p.gl[k], p.gu[k], lambda_ineq[k]
+        feas = max(feas, lo - v, v - hi)
+        s = min(max(v, lo), hi)
+        if np.isfinite(lo):
+            comp = max(comp, abs((s - lo) * max(-lam_k, 0.0)))
+        if np.isfinite(hi):
+            comp = max(comp, abs((hi - s) * max(lam_k, 0.0)))
+    return stat / sd, feas, comp / sd
+
+
 class TestKktError:
+
+    @pytest.mark.parametrize("name", [*_KKT_PROBLEMS, "case9"])
+    def test_matches_dense_reference(self, case9, name):
+        """Seeded points, some outside the box, with signed inequality
+        multipliers and bound multipliers that are partly zero; the
+        problems cover infinite sides, a fixed variable, m_eq = 0 and
+        m_ineq = 0."""
+        if name == "case9":
+            p, _ = build_acopf(case9)
+        else:
+            p = _KKT_PROBLEMS[name]()
+            p = p[0] if isinstance(p, tuple) else p
+        rng = np.random.default_rng(len(name))
+        lo = np.where(np.isfinite(p.xl), p.xl, -1.0)
+        hi = np.where(np.isfinite(p.xu), p.xu, 1.0)
+        def bound_mults():
+            return np.abs(rng.standard_normal(p.n)) * (rng.random(p.n) < 0.7)
+        for _ in range(4):
+            x = lo + rng.uniform(-0.2, 1.2, p.n) * (hi - lo)
+            mults = (rng.standard_normal(p.m_eq) * 10.0,
+                     rng.standard_normal(p.m_ineq) * 10.0,
+                     bound_mults(), bound_mults())
+            got = kkt_error(p, x, *mults)
+            assert got == pytest.approx(_kkt_reference(p, x, *mults),
+                                        rel=1e-12)
+
+    def test_nan_inequality_value_is_nan_feasibility(self, base_solve):
+        """Python's max dropped a NaN row value: feasibility read 9.2e-11
+        at case9's certified point."""
+        p, _, r = base_solve
+        q = copy.copy(p)
+
+        def constraints(x):
+            c = p.constraints(x).copy()
+            c[p.m_eq] = np.nan
+            return c
+        q.constraints = constraints
+        _, feas, _ = kkt_error(q, r.x, r.lambda_eq, r.lambda_ineq, r.z_lb,
+                               r.z_ub)
+        assert math.isnan(feas)
 
     def test_zero_at_certified_point(self, base_solve):
         p, _, r = base_solve
@@ -557,6 +655,57 @@ class TestDerivativeChecker:
         rng = np.random.default_rng(7)
         for x in interior_points(p, 3, rng):
             assert check_derivatives(p, x).ok()
+
+    @pytest.mark.parametrize("factory,x,k,i", [
+        (qp_inequality, [0.3, 0.4], 0, 1),
+        (qp_bound_sides, [0.2, -0.1, 0.4, 0.3], 1, 2)])
+    def test_worst_jacobian_entry_located(self, factory, x, k, i):
+        p, _ = factory()
+        x = np.array(x)
+        good = p.jacobian
+        entry = good(x)[k, i]
+        bump = sp.csr_matrix(([1e-3], ([k], [i])), shape=(p.m_ineq, p.n))
+        p.jacobian = lambda pt: good(pt) + bump
+        report = check_derivatives(p, x)
+        assert not report.ok()
+        assert report.worst_jac[:3] == (k, i, entry + 1e-3)
+        assert report.worst_jac[3] == pytest.approx(entry, abs=1e-8)
+        assert report.jac_max_rel == pytest.approx(
+            1e-3 / max(1.0, abs(entry + 1e-3)), rel=1e-6)
+
+    def test_zero_derivatives_report_zero_worst(self):
+        zero = sp.csr_matrix((2, 2))
+        p = NlpProblem(
+            n=2, m_eq=1, m_ineq=1, xl=np.full(2, -np.inf),
+            xu=np.full(2, np.inf), gl=np.zeros(1), gu=np.ones(1),
+            x0=np.zeros(2), objective=lambda x: 0.0,
+            gradient=lambda x: np.zeros(2), constraints=lambda x: np.zeros(2),
+            jacobian=lambda x: zero,
+            lagrangian_hessian=lambda x, sigma, mult: zero, name="zero")
+        assert check_derivatives(p, np.array([0.3, -0.2])) == DerivativeReport(
+            grad_max_rel=0.0, jac_max_rel=0.0, hess_max_rel=0.0,
+            worst_grad=(0, 0.0, 0.0), worst_jac=(0, 0, 0.0, 0.0),
+            worst_hess=(0, 0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("callback", ["gradient", "jacobian",
+                                          "lagrangian_hessian"])
+    @pytest.mark.parametrize("problem", ["qp_inequality", "case9"])
+    def test_nan_derivative_rejected(self, case9, problem, callback):
+        """A NaN entry compared as no error at all, so ok() held."""
+        if problem == "case9":
+            p, _ = build_acopf(case9)
+            x = interior_points(p, 1, np.random.default_rng(7))[0]
+        else:
+            p, _ = qp_inequality()
+            x = np.array([0.3, 0.4])
+        good = getattr(p, callback)
+
+        def bad(*args):
+            out = good(*args).copy()
+            (out.data if sp.issparse(out) else out)[0] = np.nan
+            return out
+        setattr(p, callback, bad)
+        assert not check_derivatives(p, x).ok()
 
     def test_corrupted_gradient_flagged(self):
         p, _ = qp_inequality()

@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -54,6 +55,24 @@ def _raise_on_generator_outage(cases, dt_minutes):
     if any(g.status == 0 for g in cases[0].gens):
         raise ValueError("injected chain failure")
     return _compose_chain(cases, dt_minutes)
+
+
+def _without_ramp_columns(tmp_path):
+    """case9 with its gen rows cut to 10 columns, as in MATPOWER files
+    without ramp columns: every unit reads ramp_30 = 0."""
+    lines, in_gen = [], False
+    with open(NET, encoding="utf-8") as fh:
+        for line in fh:
+            if line.startswith("mpc.gen ="):
+                in_gen = True
+            elif line.startswith("];"):
+                in_gen = False
+            elif in_gen:
+                line = "\t".join(line.rstrip(";\n").split("\t")[:11]) + ";\n"
+            lines.append(line)
+    net = tmp_path / "case9_no_ramp.m"
+    net.write_text("".join(lines))
+    return str(net)
 
 
 class TestPlanValidation:
@@ -168,6 +187,19 @@ class TestMonolithic:
     def test_nc_truncates(self):
         report = run(scopf_plan(nc=1))
         assert report.stage_count() == 2
+
+    def test_zero_ramp_pins_the_horizon(self, tmp_path, base_solve):
+        """Every ramp row of a zero ramp had gl = gu = 0, so its slack
+        started with no gap: the solve failed at iteration 0 with
+        RuntimeWarnings.  As pins, three identical periods cost three
+        times one."""
+        net = _without_ramp_columns(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run(RunPlan(application="Tcopf", netfile=net, nt=3))
+        assert report.status == "Optimal"
+        assert report.total_objective == pytest.approx(
+            3.0 * base_solve[2].objective, rel=1e-8)
 
     @pytest.mark.parametrize("name", ["netfile", "ctgcfile"])
     @pytest.mark.parametrize("junk", [False, True])
