@@ -3,21 +3,23 @@ security-constrained, and stochastic extensions, solved by a built-in
 primal-dual interior-point method.
 
 The public surface re-exported here covers the usual workflow: parse a
-MATPOWER case (`load_case`), build or compose an NLP (`build_acopf`,
-`build_lattice`, `compose_*`), solve it (`solve`), and inspect or
-write the result (`extract_solution`, `write_case`).  `run(plan)` is the
+MATPOWER case (`load_case`), build or compose an NLP and its
+CompositeIndexMap (`build_acopf`, `build_lattice`, `compose_*`), solve
+it (`solve`), and inspect or write every stage's result
+(`extract_solution`, `write_case`).  `run(plan)` is the
 one executor of a `RunPlan` for every application and structure, and
 `write_output_tree` writes its report.
 """
 
 from . import errors
-from .acopf import (AcopfLayout, SolvedCase, build_acopf, extract_solution,
-                    pack_solution, residuals_at, solution_from_case)
+from .acopf import (AcopfLayout, SolvedCase, pack_solution, residuals_at,
+                    solution_from_case)
 from .composer import (CORRECTIVE, PREVENTIVE, CompositeIndexMap,
                        CouplingMode, CouplingRow, Lattice, StageSpec,
-                       build_lattice, compose_general, compose_multiperiod,
-                       compose_multiperiod_scopf, compose_scopf,
-                       compose_sopf_flat, compose_sopf_full)
+                       build_acopf, build_lattice, compose_general,
+                       compose_multiperiod, compose_multiperiod_scopf,
+                       compose_scopf, compose_sopf_flat, compose_sopf_full,
+                       extract_solution)
 from .inputs import (ContingencySet, ScenarioSet, parse_contingencies,
                      parse_contingencies_file, parse_load_profile,
                      parse_load_profile_files, parse_scenarios,

@@ -25,11 +25,12 @@ matrix a callback returns.
 One engine evaluates every stage of a composite in one vectorized
 pass.  It stacks the stages' bus, branch and generator arrays in stage
 order; stage k owns the variable block [VA, VM, PG, QG] at var_off[k],
-the balance rows [P, Q] at eq_off[k] and its flow-limit rows at
-ineq_off[k] of the inequality region, and linear coupling rows between
-stages follow the stage rows of their region.  `build_acopf` is the
-one-stage engine.  The objective sums each stage's costs in one
-segmented reduction and adds the weighted stage sums in stage order.
+and its balance rows [P, Q] and flow-limit rows follow stage k - 1's in
+their region, ahead of the linear coupling rows between stages.  The
+objective sums each stage's costs in one segmented reduction and adds
+the weighted stage sums in stage order.  The engine also gives each
+stage's AcopfLayout and maps an NLP point back to every stage's
+SolvedCase in one pass.
 
 Branch flow quantities use, with theta = theta_f - theta_t and
 admittance components yff = gff + j bff etc.:
@@ -56,7 +57,6 @@ from .network import (
     REF,
     NetworkCase,
     branch_admittance,
-    require_connected,
 )
 from .nlp import CsrPattern, NlpProblem
 
@@ -83,24 +83,17 @@ _ENTRY_POS, _ENTRY_ROW, _ENTRY_COL = _mirrored_entries()
 
 @dataclass(frozen=True)
 class AcopfLayout:
-    """Index maps from network elements to NLP positions.
+    """One stage's variable block: columns counted from the block's start.
 
-    Keys are positions into case.buses / case.gens / case.branches.
-    Out-of-service and isolated elements are absent from the maps.
+    Keys are positions into case.buses / case.gens.  Isolated buses and
+    out-of-service generators are absent from the maps.
     """
 
     n_vars: int
-    n_eq: int
-    n_ineq: int
     va: dict[int, int]
     vm: dict[int, int]
     pg: dict[int, int]
     qg: dict[int, int]
-    p_row: dict[int, int]
-    q_row: dict[int, int]
-    sf_row: dict[int, int]
-    st_row: dict[int, int]
-    ref_buses: tuple[int, ...]
 
 
 class _Stage:
@@ -118,21 +111,20 @@ class _Stage:
                       if case.branches[k].rate_a > 0.0]
         self.nb, self.ng = len(self.active), len(self.live_gens)
 
-    def layout(self) -> AcopfLayout:
-        nb, ng = self.nb, self.ng
-        lb = self.live_branches
-        buses = self.case.buses
-        return AcopfLayout(
-            n_vars=2 * nb + 2 * ng, n_eq=2 * nb, n_ineq=2 * len(self.rated),
-            va=dict(self.slot), vm={p: k + nb for p, k in self.slot.items()},
-            pg={g: 2 * nb + j for j, g in enumerate(self.live_gens)},
-            qg={g: 2 * nb + ng + j for j, g in enumerate(self.live_gens)},
-            p_row=dict(self.slot),
-            q_row={p: k + nb for p, k in self.slot.items()},
-            sf_row={lb[i]: 2 * k for k, i in enumerate(self.rated)},
-            st_row={lb[i]: 2 * k + 1 for k, i in enumerate(self.rated)},
-            ref_buses=tuple(p for p in self.active
-                            if buses[p].btype == REF))
+
+def _start(lo: float, hi: float) -> float:
+    """A unit's starting set-point: the midpoint of finite limits, else
+    0 clipped into them."""
+    if math.isfinite(lo) and math.isfinite(hi):
+        return 0.5 * (lo + hi)
+    return min(max(0.0, lo), hi)
+
+
+def _scatter(size: int, at: list[int], values: np.ndarray) -> np.ndarray:
+    """A zero vector of the given size with values at positions at."""
+    out = np.zeros(size)
+    out[at] = values
+    return out
 
 
 def _blocks(counts: list[int]):
@@ -221,20 +213,19 @@ class _Grid:
 class _Engine(_Grid):
     """Stacked arrays and vectorized callbacks over a list of stage cases.
 
-    weights scale each stage's objective (all 1.0 by default).  `nlp`
-    adds the coupling rows, lists the Jacobian and Hessian positions and
-    returns the NLP over all stages.  Every case must pass
-    `require_connected`, which its callers check once per topology.
+    weights scale each stage's objective.  `nlp` adds the coupling rows,
+    lists the Jacobian and Hessian positions and returns the NLP over
+    all stages.  Every case must pass `require_connected`, which its
+    callers check once per topology.
     """
 
-    def __init__(self, cases: list[NetworkCase],
-                 weights: tuple[float, ...] | None = None):
+    def __init__(self, cases: list[NetworkCase], weights: tuple[float, ...]):
         self.stages = [_Stage(c) for c in cases]
-        if weights is None:
-            weights = (1.0,) * len(cases)
         pd, qd, gs, bs, xl, xu, x0 = [], [], [], [], [], [], []
         fo, to, y, rated, smax2 = [], [], [], [], []
         gslot, cost, gen_w = [], [], []
+        # each stage's slices of the stacked buses, units and branches
+        self.slices = []
         nbus = nbr = ngen = 0
         for st, w in zip(self.stages, weights):
             case, base = st.case, st.case.base_mva
@@ -263,8 +254,11 @@ class _Engine(_Grid):
                    + [g.qmax / base for g in gv])
             x0 += ([b.va for b in busv]
                    + [min(max(b.vm, b.vmin), b.vmax) for b in busv]
-                   + [0.5 * (g.pmin + g.pmax) / base for g in gv]
-                   + [0.5 * (g.qmin + g.qmax) / base for g in gv])
+                   + [_start(g.pmin, g.pmax) / base for g in gv]
+                   + [_start(g.qmin, g.qmax) / base for g in gv])
+            self.slices.append((slice(nbus, nbus + st.nb),
+                                slice(ngen, ngen + st.ng),
+                                slice(nbr, nbr + len(brv))))
             nbus, nbr, ngen = nbus + st.nb, nbr + len(brv), ngen + st.ng
         super().__init__(gs, bs, fo, to, y)
         self.ng = ngen
@@ -284,8 +278,6 @@ class _Engine(_Grid):
         ng = np.array([st.ng for st in self.stages], dtype=np.intp)
         self.var_off, _, _ = _blocks(2 * nb + 2 * ng)
         bus_off, bstage, bk = _blocks(nb)
-        self.eq_off = 2 * bus_off
-        self.ineq_off = 2 * _blocks([len(st.rated) for st in self.stages])[0]
         gen_off, gstage, gk = _blocks(ng)
         # the first unit and the weight of each stage that has a unit
         self.cost_starts = gen_off[ng > 0]
@@ -293,15 +285,49 @@ class _Engine(_Grid):
         self.n = self.x0.size
         self.va_col = self.var_off[bstage] + bk
         self.vm_col = self.va_col + nb[bstage]
-        self.p_row = self.eq_off[bstage] + bk
+        self.p_row = 2 * bus_off[bstage] + bk
         self.q_row = self.p_row + nb[bstage]
         self.pg_col = self.var_off[gstage] + 2 * nb[gstage] + gk
         self.qg_col = self.pg_col + ng[gstage]
 
+    def layouts(self) -> tuple[AcopfLayout, ...]:
+        """Each stage's variable block, read off the stacked columns."""
+        out = []
+        for st, v, (bus, gen, _) in zip(self.stages, self.var_off,
+                                        self.slices):
+            va, vm = (dict(zip(st.active, (c[bus] - v).tolist()))
+                      for c in (self.va_col, self.vm_col))
+            pg, qg = (dict(zip(st.live_gens, (c[gen] - v).tolist()))
+                      for c in (self.pg_col, self.qg_col))
+            out.append(AcopfLayout(2 * (st.nb + st.ng), va, vm, pg, qg))
+        return tuple(out)
+
+    def solved(self, x: np.ndarray) -> tuple[SolvedCase, ...]:
+        """Every stage's SolvedCase at the NLP point x: one flows pass
+        over the stacked branches, scattered to case positions."""
+        if x.shape != (self.n,):
+            raise DimensionMismatch(
+                f"x has shape {x.shape}, the NLP expects ({self.n},)")
+        va, vm = x[self.va_col], x[self.vm_col]
+        fo = self.flows(va, vm)
+        out = []
+        for st, (bus, gen, br) in zip(self.stages, self.slices):
+            case, base = st.case, st.case.base_mva
+            nb, ng, nbr = len(case.buses), len(case.gens), len(case.branches)
+            pg = _scatter(ng, st.live_gens, x[self.pg_col[gen]] * base)
+            out.append(SolvedCase(
+                case=case, vm=_scatter(nb, st.active, vm[bus]),
+                va=_scatter(nb, st.active, va[bus]), pg=pg,
+                qg=_scatter(ng, st.live_gens, x[self.qg_col[gen]] * base),
+                **{k: _scatter(nbr, st.live_branches, fo[k][br] * base)
+                   for k in ("pf", "qf", "pt", "qt")},
+                objective=float(sum(case.gens[j].cost.at(pg[j])
+                                    for j in st.live_gens))))
+        return tuple(out)
+
     # --- the NLP ---------------------------------------------------------
 
-    def nlp(self, name: str, links=(), n_pins: int = 0,
-            bounds=()) -> NlpProblem:
+    def nlp(self, name: str, links, n_pins: int, bounds) -> NlpProblem:
         """The NLP over all stages plus one linear row x[a] - x[b] per
         (a, b) in links: the first n_pins are equalities after the stage
         equalities, the rest lie within -bound..bound after the stage
@@ -466,17 +492,6 @@ class _Engine(_Grid):
             2 * (obj_factor * self.gen_w) * self.cost_a]))
 
 
-def build_acopf(case: NetworkCase):
-    """Build the stage NLP.  Returns (NlpProblem, AcopfLayout).
-
-    Raises Disconnected when the in-service network is not a single
-    connected component (NoReferenceBus is already enforced on parse).
-    """
-    require_connected(case)
-    e = _Engine([case])
-    return e.nlp(f"acopf:{case.name}"), e.stages[0].layout()
-
-
 @dataclass(frozen=True)
 class SolvedCase:
     """A case together with an operating point and its line flows.
@@ -525,32 +540,9 @@ def _branch_flows_mw(case: NetworkCase, va: np.ndarray, vm: np.ndarray):
     return flows
 
 
-def extract_solution(case: NetworkCase, layout: AcopfLayout,
-                     x: np.ndarray) -> SolvedCase:
-    """Unpack an NLP point into a SolvedCase with computed line flows."""
-    if x.shape != (layout.n_vars,):
-        raise DimensionMismatch(
-            f"x has shape {x.shape}, layout expects ({layout.n_vars},)")
-    nb_all, ng_all = len(case.buses), len(case.gens)
-    vm = np.zeros(nb_all)
-    va = np.zeros(nb_all)
-    for pos in layout.va:
-        va[pos] = x[layout.va[pos]]
-        vm[pos] = x[layout.vm[pos]]
-    pg = np.zeros(ng_all)
-    qg = np.zeros(ng_all)
-    for gpos, idx in layout.pg.items():
-        pg[gpos] = x[idx] * case.base_mva
-        qg[gpos] = x[layout.qg[gpos]] * case.base_mva
-    pfl, qfl, ptl, qtl = _branch_flows_mw(case, va, vm)
-    obj = float(sum(case.gens[gpos].cost.at(pg[gpos]) for gpos in layout.pg))
-    return SolvedCase(case=case, vm=vm, va=va, pg=pg, qg=qg, pf=pfl, qf=qfl,
-                      pt=ptl, qt=qtl, objective=obj)
-
-
 def pack_solution(case: NetworkCase, layout: AcopfLayout,
                   sol: SolvedCase) -> np.ndarray:
-    """Inverse of extract_solution (flows ignored)."""
+    """Inverse of one stage of extract_solution (flows ignored)."""
     x = np.zeros(layout.n_vars)
     for pos, idx in layout.va.items():
         x[idx] = sol.va[pos]

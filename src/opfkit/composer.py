@@ -33,14 +33,18 @@ A composite is not a loop over stage problems: one ACOPF engine
 (`acopf._Engine`) spans every stage of the lattice and the coupling
 rows, so each callback is one vectorized pass.  Stage variables stay
 stage-major, and the CompositeIndexMap locates each stage's block.
+`build_acopf` is the one-stage composite.  `extract_solution` maps a
+point back to every stage's SolvedCase through the engine the map holds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
-from .acopf import AcopfLayout, _Engine
+import numpy as np
+
+from .acopf import AcopfLayout, SolvedCase, _Engine
 from .errors import EmptyScenarioSet, InvalidPlan, TopologyMismatch
 from .inputs import ContingencySet, ScenarioSet
 from .network import (
@@ -101,16 +105,14 @@ class CouplingRow:
 
 @dataclass(frozen=True)
 class CompositeIndexMap:
+    """Where each stage's variable block starts, the coupling rows, and
+    the engine that built the NLP, for `extract_solution`."""
     stages: tuple[StageSpec, ...]
     var_offset: tuple[int, ...]
-    eq_offset: tuple[int, ...]      # into the equality region
-    ineq_offset: tuple[int, ...]    # into the inequality region
     coupling_rows: tuple[CouplingRow, ...]
     weights: tuple[float, ...]      # per-stage objective weights
     layouts: tuple[AcopfLayout, ...]
-    n_vars: int
-    m_eq: int
-    m_ineq: int
+    _engine: _Engine = field(repr=False, compare=False)
 
 
 def _check_topology(ref: NetworkCase, other: NetworkCase) -> None:
@@ -238,7 +240,7 @@ class _Builder:
 
     def assemble(self) -> tuple[NlpProblem, CompositeIndexMap]:
         engine = _Engine([s.case for s in self.specs], self.weights)
-        layouts = tuple(st.layout() for st in engine.stages)
+        layouts = engine.layouts()
         pins = [r for r in self.rows if r.is_equality]
         boxes = [r for r in self.rows if not r.is_equality]
 
@@ -251,15 +253,28 @@ class _Builder:
             len(pins), [r.bound for r in boxes])
         coupling = tuple(replace(r, row=int(row))
                          for r, row in zip(pins + boxes, engine.link_rows))
-        index = CompositeIndexMap(
+        return problem, CompositeIndexMap(
             stages=tuple(self.specs),
-            var_offset=tuple(int(v) for v in engine.var_off),
-            eq_offset=tuple(int(v) for v in engine.eq_off),
-            ineq_offset=tuple(int(v) for v in engine.ineq_off),
+            var_offset=tuple(engine.var_off.tolist()),
             coupling_rows=coupling, weights=tuple(self.weights),
-            layouts=layouts, n_vars=problem.n, m_eq=problem.m_eq,
-            m_ineq=problem.m_ineq)
-        return problem, index
+            layouts=layouts, _engine=engine)
+
+
+def extract_solution(imap: CompositeIndexMap,
+                     x: np.ndarray) -> tuple[SolvedCase, ...]:
+    """Every stage's SolvedCase at the composite's NLP point x, in stage
+    order.  Raises DimensionMismatch when x does not fit the NLP."""
+    return imap._engine.solved(x)
+
+
+def build_acopf(case: NetworkCase):
+    """The one-stage composite of a case: (NlpProblem, CompositeIndexMap).
+
+    Raises Disconnected when the in-service network is not a single
+    connected component (NoReferenceBus is already enforced on parse).
+    """
+    lattice = build_lattice(None, None, [case], 30.0)
+    return _Builder(f"acopf:{case.name}", lattice).assemble()
 
 
 def compose_general(scenarios: ScenarioSet | None,

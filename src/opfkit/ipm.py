@@ -778,8 +778,24 @@ class _Ipm:
 
 
 def solve(problem: NlpProblem, options: SolverOptions | None = None) -> SolveResult:
-    """Solve the NLP; never raises for numerical trouble, see status."""
-    return _Ipm(problem, options or SolverOptions()).solve()
+    """Solve the NLP; never raises for numerical trouble, see status.
+
+    A start point that is not finite once clipped into the bounds ends
+    NumericFailure at iteration 0, before any callback runs.
+    """
+    free = np.flatnonzero(problem.xl != problem.xu)
+    start = _push_interior(problem.x0[free], problem.xl[free],
+                           problem.xu[free])
+    if np.all(np.isfinite(start)):
+        return _Ipm(problem, options or SolverOptions()).solve()
+    k = free[~np.isfinite(start)][0]
+    n, nan = problem.n, float("nan")
+    return SolveResult(
+        status=NUMERIC_FAILURE, x=problem.x0.copy(), objective=nan,
+        lambda_eq=np.zeros(problem.m_eq),
+        lambda_ineq=np.zeros(problem.m_ineq), z_lb=np.zeros(n),
+        z_ub=np.zeros(n), kkt=(nan, nan, nan), iterations=0,
+        message=f"start point is not finite: x0[{k}] = {problem.x0[k]}")
 
 
 # --- KKT error (public, point-wise) ---------------------------------------

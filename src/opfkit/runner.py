@@ -27,10 +27,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import errors
-from .acopf import SolvedCase, extract_solution
+from .acopf import SolvedCase
 from .composer import (CompositeIndexMap, CouplingMode, Lattice,
                        build_lattice, compose_general, compose_multiperiod,
-                       compose_sopf_flat)
+                       compose_sopf_flat, extract_solution)
 from .inputs import (parse_contingencies_file, parse_load_profile_files,
                      parse_scenarios_file)
 from .ipm import OPTIMAL, SolveResult, SolverOptions, solve
@@ -192,14 +192,11 @@ def _compose(plan: RunPlan, scens, ctgs, periods):
 
 
 def _solved(composite: tuple[NlpProblem, CompositeIndexMap], tol: float,
-            max_iter: int) -> tuple[SolveResult, list[SolvedCase]]:
+            max_iter: int) -> tuple[SolveResult, tuple[SolvedCase, ...]]:
     """Solve a composite; the result and each stage's solved case."""
     problem, imap = composite
     result = solve(problem, SolverOptions(tol=tol, max_iter=max_iter))
-    x = result.x
-    return result, [extract_solution(st.case, lay, x[off:off + lay.n_vars])
-                    for st, lay, off in zip(imap.stages, imap.layouts,
-                                            imap.var_offset)]
+    return result, extract_solution(imap, result.x)
 
 
 def _stage_keys(specs) -> list[tuple[int, int, int]]:

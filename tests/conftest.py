@@ -51,7 +51,7 @@ def profile(data_dir):
 @pytest.fixture(scope="session")
 def base_solve(case9):
     """Plain ACOPF solve of the 9-bus case, shared across tests."""
-    problem, layout = build_acopf(case9)
+    problem, imap = build_acopf(case9)
     result = solve(problem, SolverOptions(tol=1e-6))
     assert result.status == "Optimal"
-    return problem, layout, result
+    return problem, imap, result

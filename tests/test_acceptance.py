@@ -81,13 +81,13 @@ class TestAcceptance:
         """Fresh 9-bus solve: certified KKT point with every voltage in
         band and every rated branch within its MVA limit."""
         t0 = time.perf_counter()
-        p, layout = build_acopf(case9)
+        p, imap = build_acopf(case9)
         r = solve(p, SolverOptions(tol=1e-6, max_iter=200))
         elapsed = time.perf_counter() - t0
         assert r.status == "Optimal"
         kkt = max(kkt_error(p, r.x, r.lambda_eq, r.lambda_ineq,
                             r.z_lb, r.z_ub))
-        sol = extract_solution(case9, layout, r.x)
+        (sol,) = extract_solution(imap, r.x)
         vm_ok = all(b.vmin - 1e-8 <= sol.vm[i] <= b.vmax + 1e-8
                     for i, b in enumerate(case9.buses))
         flow_slack = min(
@@ -275,8 +275,8 @@ class TestAcceptance:
                 for va, vb in zip(ra, rb):
                     assert vb == pytest.approx(va, rel=1e-9, abs=1e-12)
 
-        problem, layout, r = base_solve
-        solved = extract_solution(case9, layout, r.x)
+        problem, imap, r = base_solve
+        (solved,) = extract_solution(imap, r.x)
         reparsed = from_raw(parse_case(write_case(solved)))
         p2, _ = build_acopf(reparsed)
         r2 = solve(p2, SolverOptions())

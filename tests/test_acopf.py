@@ -25,7 +25,8 @@ from util import interior_points
 class TestBuild:
 
     def test_variable_count(self, case9):
-        p, layout = build_acopf(case9)
+        p, imap = build_acopf(case9)
+        layout = imap.layouts[0]
         # 9 va + 9 vm + 3 pg + 3 qg
         assert p.n == layout.n_vars == 24
         assert len(layout.va) == len(layout.vm) == 9
@@ -37,13 +38,14 @@ class TestBuild:
         assert p.m_ineq == 18        # |S|^2 at both ends, all rated
 
     def test_reference_angle_pinned(self, case9):
-        p, layout = build_acopf(case9)
-        ref = layout.ref_buses[0]
-        i = layout.va[ref]
+        p, imap = build_acopf(case9)
+        ref = next(pos for pos, b in enumerate(case9.buses) if b.btype == 3)
+        i = imap.layouts[0].va[ref]
         assert p.xl[i] == p.xu[i] == 0.0
 
     def test_voltage_and_dispatch_bounds(self, case9):
-        p, layout = build_acopf(case9)
+        p, imap = build_acopf(case9)
+        layout = imap.layouts[0]
         for pos, b in enumerate(case9.buses):
             assert p.xl[layout.vm[pos]] == b.vmin
             assert p.xu[layout.vm[pos]] == b.vmax
@@ -54,16 +56,18 @@ class TestBuild:
     def test_flow_rows_skip_unrated_branches(self, case9):
         branches = (replace(case9.branches[0], rate_a=0.0),) \
             + case9.branches[1:]
-        p, layout = build_acopf(replace(case9, branches=branches))
+        p, _ = build_acopf(replace(case9, branches=branches))
         assert p.m_ineq == 16
-        assert 0 not in layout.sf_row
+        # both ends of every rated branch, in order, and none of branch 0
+        limits = [(br.rate_a / 100.0) ** 2 for br in branches[1:]]
+        assert list(p.gu) == list(np.repeat(limits, 2))
 
     def test_outaged_gen_leaves_problem(self, case9):
         gens = (case9.gens[0], replace(case9.gens[1], status=0),
                 case9.gens[2])
-        p, layout = build_acopf(replace(case9, gens=gens))
+        p, imap = build_acopf(replace(case9, gens=gens))
         assert p.n == 22
-        assert 1 not in layout.pg
+        assert 1 not in imap.layouts[0].pg
 
     def test_disconnected_case_rejected(self, case9):
         branches = tuple(br for br in case9.branches
@@ -72,7 +76,8 @@ class TestBuild:
             build_acopf(replace(case9, branches=branches))
 
     def test_objective_matches_cost_at_start(self, case9):
-        p, layout = build_acopf(case9)
+        p, imap = build_acopf(case9)
+        layout = imap.layouts[0]
         by_hand = sum(g.cost.at(p.x0[layout.pg[i]] * 100.0)
                       for i, g in enumerate(case9.gens))
         assert p.objective(p.x0) == pytest.approx(by_hand, rel=1e-12)
@@ -89,7 +94,7 @@ class TestBuild:
         f1, f3 = (lone.objective(x[e.var_off[k]:e.var_off[k] + lone.n])
                   for k in (1, 3))
         assert e.objective(x) == 0.25 * f1 + 0.5 * f3
-        assert _Engine([idle]).objective(x[:18]) == 0.0
+        assert _Engine([idle], (1.0,)).objective(x[:18]) == 0.0
 
 
 class TestResiduals:
@@ -144,25 +149,25 @@ class TestDerivatives:
 class TestSolutionTransport:
 
     def test_pack_extract_inverse(self, case9, base_solve):
-        _, layout, r = base_solve
-        sol = extract_solution(case9, layout, r.x)
-        again = pack_solution(case9, layout, sol)
+        _, imap, r = base_solve
+        (sol,) = extract_solution(imap, r.x)
+        again = pack_solution(case9, imap.layouts[0], sol)
         assert np.max(np.abs(again - r.x)) <= 1e-12
 
     def test_extract_rejects_wrong_shape(self, case9, base_solve):
-        _, layout, r = base_solve
+        _, imap, r = base_solve
         with pytest.raises(errors.DimensionMismatch):
-            extract_solution(case9, layout, r.x[:-1])
+            extract_solution(imap, r.x[:-1])
 
     def test_extracted_flows_balance(self, case9, base_solve):
-        _, layout, r = base_solve
-        sol = extract_solution(case9, layout, r.x)
+        _, imap, r = base_solve
+        (sol,) = extract_solution(imap, r.x)
         dp, dq = residuals_at(case9, sol)
         assert max(np.max(np.abs(dp)), np.max(np.abs(dq))) <= 1e-4
 
     def test_objective_is_dollars_per_hour(self, case9, base_solve):
-        _, layout, r = base_solve
-        sol = extract_solution(case9, layout, r.x)
+        _, imap, r = base_solve
+        (sol,) = extract_solution(imap, r.x)
         by_hand = sum(case9.gens[i].cost.at(sol.pg[i]) for i in range(3))
         assert sol.objective == pytest.approx(by_hand, rel=1e-12)
 
@@ -170,8 +175,8 @@ class TestSolutionTransport:
 class TestSolveQuality:
 
     def test_limits_respected(self, case9, base_solve):
-        _, layout, r = base_solve
-        sol = extract_solution(case9, layout, r.x)
+        _, imap, r = base_solve
+        (sol,) = extract_solution(imap, r.x)
         for pos, b in enumerate(case9.buses):
             assert b.vmin - 1e-8 <= sol.vm[pos] <= b.vmax + 1e-8
         for k, br in enumerate(case9.branches):
@@ -183,9 +188,10 @@ class TestSolveQuality:
     def test_warm_start_matches_cold(self, case9):
         """Solving from the stored operating point reaches the same
         objective as the default start."""
-        p, layout = build_acopf(case9)
+        p, imap = build_acopf(case9)
         cold = solve(p, SolverOptions())
-        p.x0 = pack_solution(case9, layout, solution_from_case(case9))
+        p.x0 = pack_solution(case9, imap.layouts[0],
+                             solution_from_case(case9))
         warm = solve(p, SolverOptions())
         assert warm.status == cold.status == "Optimal"
         assert warm.objective == pytest.approx(cold.objective, rel=1e-7)

@@ -191,6 +191,29 @@ class TestEntry:
         assert "mpc.bus row 6 near line 11" in err and "column 3" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("limits", ["300\t-300\t1.04\t100\t1\tInf",
+                                        "Inf\t-Inf\t1.04\t100\t1\t350"],
+                             ids=["pmax", "qmin-qmax"])
+    def test_infinite_generator_limits_solve(self, tmp_path, capsys, limits):
+        """Inf is a legal MATPOWER limit.  Gen 1 started at the midpoint
+        of its limits: Pmax = Inf ended in a ZeroDivisionError, Qmin =
+        -Inf with Qmax = Inf in NumericFailure at iteration 0.  It now
+        starts at 0 clipped into its limits and reaches case9's optimum."""
+        net = tmp_path / "case9_inf.m"
+        with open(NET, encoding="utf-8") as fh:
+            text = fh.read()
+        row = "300\t-300\t1.04\t100\t1\t350"
+        assert text.count(row) == 1
+        net.write_text(text.replace(row, limits))
+        out = tmp_path / "out"
+        code = cli.entry(["opflow", "--netfile", str(net),
+                          "--outdir", str(out)])
+        assert code == cli.EXIT_OK
+        assert "Optimal" in capsys.readouterr().out
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["total_objective"] == pytest.approx(3049.24617,
+                                                           rel=1e-8)
+
     @pytest.mark.parametrize("base_mva", ["0", "nan", "-100", "inf"])
     def test_unusable_base_mva_exits_2(self, tmp_path, capsys, base_mva):
         bad = tmp_path / "bad.m"

@@ -29,6 +29,7 @@ from opfkit import (
     parse_scenarios,
     solve,
 )
+from opfkit.acopf import SolvedCase, _Grid
 from opfkit.composer import CONTINGENCY_BOX, PREVENTIVE_PIN, RAMP, SCENARIO_BOX
 from opfkit.inputs import ContingencySet, ScenarioSet
 
@@ -38,11 +39,6 @@ CORR = CouplingMode(kind="corrective")
 PREV = CouplingMode(kind="preventive")
 
 
-def stage_x(imap, x, k):
-    lo = imap.var_offset[k]
-    return x[lo:lo + imap.layouts[k].n_vars]
-
-
 def load_steps(case, nt):
     """nt periods of the case with loads scaled by 1, 1.03, 1.06, ..."""
     return [replace(case, buses=tuple(
@@ -50,21 +46,32 @@ def load_steps(case, nt):
         for b in case.buses)) for t in range(nt)]
 
 
-def stacked_reference(imap, x, sigma, mult):
+def stage_offsets(imap):
+    """Each stage's own build_acopf problem and layout, and the offsets
+    of its variable block and of its equality and inequality rows in
+    their regions, summed from those problems' sizes."""
+    stages = [build_acopf(stage.case) for stage in imap.stages]
+    sizes = np.array([(p.n, p.m_eq, p.m_ineq) for p, _ in stages])
+    offsets = np.cumsum(sizes, axis=0) - sizes
+    return [(p, sub.layouts[0], *off.tolist())
+            for (p, sub), off in zip(stages, offsets)]
+
+
+def stacked_reference(problem, imap, x, sigma, mult):
     """Objective, gradient, constraints, Jacobian and Hessian of a
     composite at x, stacked by hand from each stage's own build_acopf
-    callbacks at the CompositeIndexMap's offsets and weights."""
-    n, m = imap.n_vars, imap.m_eq + imap.m_ineq
+    callbacks at offsets summed from their sizes, with the map's
+    weights."""
+    n, m = problem.n, problem.m_eq + problem.m_ineq
     obj, grad, cons = 0, np.zeros(n), np.zeros(m)
     jac = ([], [], [])
     hess = ([], [], [])
-    for k, stage in enumerate(imap.stages):
-        p, _ = build_acopf(stage.case)
-        w, a = imap.weights[k], imap.var_offset[k]
+    stages = stage_offsets(imap)
+    for k, (p, _, a, e, i) in enumerate(stages):
+        w = imap.weights[k]
         xk = x[a:a + p.n]
-        rows = np.concatenate([
-            imap.eq_offset[k] + np.arange(p.m_eq),
-            imap.m_eq + imap.ineq_offset[k] + np.arange(p.m_ineq)])
+        rows = np.concatenate([e + np.arange(p.m_eq),
+                               problem.m_eq + i + np.arange(p.m_ineq)])
         obj += w * p.objective(xk)
         grad[a:a + p.n] = w * p.gradient(xk)
         cons[rows] = p.constraints(xk)
@@ -77,8 +84,8 @@ def stacked_reference(imap, x, sigma, mult):
             out[1].append(a + mat.col)
             out[2].append(mat.data)
     for r in imap.coupling_rows:
-        ab = [imap.var_offset[k] + imap.layouts[k].pg[r.gen]
-              for k in (r.stage_a, r.stage_b)]
+        ab = [a + lay.pg[r.gen] for _, lay, a, _, _
+              in (stages[r.stage_a], stages[r.stage_b])]
         cons[r.row] = x[ab[0]] - x[ab[1]]
         jac[0].append([r.row, r.row])
         jac[1].append(ab)
@@ -93,12 +100,7 @@ def stacked_reference(imap, x, sigma, mult):
 def assert_matches_stages(problem, imap, rng, points=2):
     """The composite's callbacks equal the stacked stage callbacks bit
     for bit at seeded random interior points."""
-    sizes = np.array([(lay.n_vars, lay.n_eq, lay.n_ineq)
-                      for lay in imap.layouts])
-    offsets = np.cumsum(sizes, axis=0) - sizes
-    assert imap.var_offset == tuple(offsets[:, 0])
-    assert imap.eq_offset == tuple(offsets[:, 1])
-    assert imap.ineq_offset == tuple(offsets[:, 2])
+    assert imap.var_offset == tuple(a for _, _, a, _, _ in stage_offsets(imap))
 
     def same(a, b):
         a, b = np.asarray(a), np.asarray(b)
@@ -109,7 +111,7 @@ def assert_matches_stages(problem, imap, rng, points=2):
     for x in interior_points(problem, points, rng):
         sigma = rng.uniform(0.1, 2.0)
         mult = rng.normal(size=m)
-        ref = stacked_reference(imap, x, sigma, mult)
+        ref = stacked_reference(problem, imap, x, sigma, mult)
         got = (problem.objective(x), problem.gradient(x),
                problem.constraints(x), problem.jacobian(x),
                problem.lagrangian_hessian(x, sigma, mult))
@@ -263,6 +265,92 @@ class TestEngineMatchesStages:
         assert_matches_stages(*flat, np.random.default_rng(12))
 
 
+def reference_solution(imap, x, k):
+    """Stage k's SolvedCase at the composite point x, built apart from
+    the engine: its block of x read through imap.layouts[k] and its
+    flows from the stage case's own _Grid."""
+    case, lay = imap.stages[k].case, imap.layouts[k]
+    xk = x[imap.var_offset[k]:imap.var_offset[k] + lay.n_vars]
+    base = case.base_mva
+    va, vm = np.zeros(len(case.buses)), np.zeros(len(case.buses))
+    for pos, col in lay.va.items():
+        va[pos], vm[pos] = xk[col], xk[lay.vm[pos]]
+    pg, qg = np.zeros(len(case.gens)), np.zeros(len(case.gens))
+    for g, col in lay.pg.items():
+        pg[g], qg[g] = xk[col] * base, xk[lay.qg[g]] * base
+    grid, live = _Grid.of_case(case)
+    fo = grid.flows(va, vm)
+    flows = {}
+    for key in ("pf", "qf", "pt", "qt"):
+        flows[key] = np.zeros(len(case.branches))
+        flows[key][live] = fo[key] * base
+    return SolvedCase(
+        case=case, vm=vm, va=va, pg=pg, qg=qg, **flows,
+        objective=float(sum(case.gens[g].cost.at(pg[g]) for g in lay.pg)))
+
+
+def assert_same_solution(got, ref):
+    assert got.case is ref.case
+    assert type(got.objective) is float and got.objective == ref.objective
+    for name in ("vm", "va", "pg", "qg", "pf", "qf", "pt", "qt"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+@pytest.fixture(scope="module")
+def sparse_case(case9):
+    """case9 with an isolated (type-4) bus 10 that nothing touches,
+    listed fourth, and an out-of-service copy of branch 7-8 listed
+    third."""
+    lone = replace(case9.buses[4], id=10, btype=4, pd=0.0, qd=0.0)
+    buses = case9.buses[:3] + (lone,) + case9.buses[3:]
+    dead = replace(case9.branches[7], status=0)
+    branches = case9.branches[:2] + (dead,) + case9.branches[2:]
+    return replace(case9, buses=buses, branches=branches)
+
+
+class TestExtraction:
+    """One extraction pass over a composite gives every stage what the
+    per-stage reference gives, bit for bit."""
+
+    def check(self, problem, imap, seed):
+        x, = interior_points(problem, 1, np.random.default_rng(seed))
+        solved = extract_solution(imap, x)
+        assert len(solved) == len(imap.stages)
+        for k, sol in enumerate(solved):
+            assert_same_solution(sol, reference_solution(imap, x, k))
+        return solved
+
+    def test_flagship_lattice(self, case9, scens, ctgs):
+        problem, imap = compose_general(scens, ctgs, [case9] * 3, PREV, 5.0)
+        assert len(imap.stages) == 60
+        self.check(problem, imap, 21)
+
+    def test_outages_and_idle_elements(self, sparse_case, ctgs):
+        """Stages 1 (gen at bus 2 out) and 2 (branch 4-5 out) of a case
+        with an isolated bus and an out-of-service branch: every element
+        that is out reads 0."""
+        gen_out, branch_out = ctgs.by_id()[0], ctgs.by_id()[2]
+        problem, imap = compose_scopf(
+            sparse_case, ContingencySet((gen_out, branch_out)), CORR)
+        base, no_gen, no_branch = self.check(problem, imap, 22)
+        cut = sparse_case.branches_between(4, 5)[0]
+        for sol in (base, no_gen, no_branch):
+            assert sol.va[3] == sol.vm[3] == 0.0
+            assert sol.pf[2] == sol.qf[2] == sol.pt[2] == sol.qt[2] == 0.0
+        assert no_gen.pg[1] == no_gen.qg[1] == 0.0 != base.pg[1]
+        assert (no_branch.pf[cut] == no_branch.qf[cut] == no_branch.pt[cut]
+                == no_branch.qt[cut] == 0.0 != base.pf[cut])
+
+    def test_wrong_shape_rejected(self, sparse_case):
+        problem, imap = build_acopf(sparse_case)
+        x = problem.x0
+        for bad in (x[:-1], np.append(x, 0.0), np.stack([x, x])):
+            with pytest.raises(errors.DimensionMismatch):
+                extract_solution(imap, bad)
+
+
 class TestCompositeDerivatives:
 
     def test_small_lattice(self, case9, scens, ctgs):
@@ -390,10 +478,7 @@ class TestCoupledSolves:
         p, imap = compose_scopf(case9, branch_ctg, CORR)
         r = solve(p, SolverOptions())
         assert r.status == "Optimal"
-        base = extract_solution(imap.stages[0].case, imap.layouts[0],
-                                stage_x(imap, r.x, 0))
-        post = extract_solution(imap.stages[1].case, imap.layouts[1],
-                                stage_x(imap, r.x, 1))
+        base, post = extract_solution(imap, r.x)
         for g, bound in ((0, 30.0), (1, 30.0), (2, 450.0)):
             assert abs(post.pg[g] - base.pg[g]) <= bound + 1e-4
 
@@ -401,10 +486,7 @@ class TestCoupledSolves:
         p, imap = compose_scopf(case9, branch_ctg, PREV)
         r = solve(p, SolverOptions())
         assert r.status == "Optimal"
-        base = extract_solution(imap.stages[0].case, imap.layouts[0],
-                                stage_x(imap, r.x, 0))
-        post = extract_solution(imap.stages[1].case, imap.layouts[1],
-                                stage_x(imap, r.x, 1))
+        base, post = extract_solution(imap, r.x)
         # gens 2 and 3 are pinned, the reference machine is free
         assert post.pg[1] == pytest.approx(base.pg[1], abs=1e-4)
         assert post.pg[2] == pytest.approx(base.pg[2], abs=1e-4)
@@ -430,9 +512,8 @@ class TestCoupledSolves:
         assert [r.kind for r in rows] == [SCENARIO_BOX] * 3
         r = solve(p, SolverOptions())
         assert r.status == "Optimal"
-        wind = [extract_solution(imap.stages[k].case, imap.layouts[k],
-                                 stage_x(imap, r.x, k)).pg[2]
-                for k in (0, n_c)]
+        solved = extract_solution(imap, r.x)
+        wind = [solved[k].pg[2] for k in (0, n_c)]
         assert wind == pytest.approx([75.0, 85.0], abs=1e-4)
 
 

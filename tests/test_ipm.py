@@ -139,6 +139,44 @@ class TestStatuses:
         assert r.message == "factorization failed after regularization retries"
 
 
+def _one_variable_qp(x0, xu=np.inf):
+    """min x^2 over x <= xu, started at x0."""
+    return NlpProblem(
+        n=1, m_eq=0, m_ineq=0, xl=np.array([-np.inf]), xu=np.array([xu]),
+        gl=np.zeros(0), gu=np.zeros(0), x0=np.array([x0]),
+        objective=lambda x: float(x[0] ** 2),
+        gradient=lambda x: 2.0 * x,
+        constraints=lambda x: np.zeros(0),
+        jacobian=lambda x: sp.csr_matrix((0, 1)),
+        lagrangian_hessian=lambda x, sigma, mult: sp.csr_matrix(
+            [[2.0 * sigma]]),
+        name="one-variable-qp")
+
+
+class TestNonFiniteStart:
+
+    @pytest.mark.parametrize("x0", [np.inf, -np.inf, np.nan])
+    def test_non_finite_start_is_numeric_failure(self, x0):
+        """x0 = inf made the objective scale 100 / inf = 0 and the solve
+        raised ZeroDivisionError; it now returns before any callback."""
+        p = _one_variable_qp(x0)
+
+        def never(*args):
+            raise AssertionError("callback evaluated at a non-finite start")
+        for name in ("objective", "gradient", "constraints", "jacobian",
+                     "lagrangian_hessian"):
+            setattr(p, name, never)
+        r = solve(p)
+        assert r.status == "NumericFailure"
+        assert r.iterations == 0 and r.iter_log == []
+        assert r.message == f"start point is not finite: x0[0] = {x0}"
+
+    def test_start_clipped_into_a_bound_is_finite(self):
+        r = solve(_one_variable_qp(np.inf, xu=5.0), TIGHT)
+        assert r.status == "Optimal"
+        assert abs(r.x[0]) <= 1e-8
+
+
 class TestRegularization:
 
     def test_concave_box_regularization_ladder(self):

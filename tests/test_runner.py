@@ -383,8 +383,8 @@ class TestTrivialComposites:
         contingency and nt equal periods: every structure is Optimal,
         dispatches every stage as the plain ACOPF does, and totals nt
         plain objectives."""
-        _, layout, plain = base_solve
-        plain_pg = extract_solution(load_case(NET), layout, plain.x).pg
+        _, imap, plain = base_solve
+        plain_pg = extract_solution(imap, plain.x)[0].pg
         if structure == "Flat":
             nt = 1
         scen = tmp_path_factory.mktemp("trivial") / "scen.csv"
