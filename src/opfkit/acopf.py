@@ -15,9 +15,10 @@ Each stage is one NetworkCase turned into a smooth NLP block:
 
 P_inj includes series branch flows, line charging, taps/shifts and the
 bus shunt (gs + j bs) scaled by |V|^2.  Gradient, Jacobian and
-Lagrangian Hessian are analytic.  Their COO positions are listed when
-the NLP is composed; the first evaluation of each turns them into a
-canonical CSR structure and a slot per entry, and every evaluation
+Lagrangian Hessian are analytic; the Hessian holds its lower triangle
+only, the entries the solver reads.  Their COO positions are listed
+when the NLP is composed; the first evaluation of each turns them into
+a canonical CSR structure and a slot per entry, and every evaluation
 after that only computes values and sums them into those slots
 (duplicates in input order).  The structure arrays are shared by every
 matrix a callback returns.
@@ -28,9 +29,9 @@ order; stage k owns the variable block [VA, VM, PG, QG] at var_off[k],
 and its balance rows [P, Q] and flow-limit rows follow stage k - 1's in
 their region, ahead of the linear coupling rows between stages.  The
 objective sums each stage's costs in one segmented reduction and adds
-the weighted stage sums in stage order.  The engine also gives each
-stage's AcopfLayout and maps an NLP point back to every stage's
-SolvedCase in one pass.
+the weighted stage sums in stage order.  The engine's column arrays are
+the one map of the NLP's variables: it maps an NLP point back to every
+stage's SolvedCase in one pass, and packs SolvedCases into a point.
 
 Branch flow quantities use, with theta = theta_f - theta_t and
 admittance components yff = gff + j bff etc.:
@@ -60,40 +61,11 @@ from .network import (
 )
 from .nlp import CsrPattern, NlpProblem
 
-# unique upper-triangle positions of a 4x4 block over (tf, tt, vf, vt)
+# the unique positions (a, b), a <= b, of each branch's symmetric 4x4
+# Hessian block over the axes (tf, tt, vf, vt)
 _POSITIONS = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3),
               (2, 2), (2, 3), (3, 3))
 _POS_A, _POS_B = np.array(_POSITIONS).T
-
-
-def _mirrored_entries():
-    """The 16 entries of each branch's symmetric block in pattern order
-    (each position, then its mirror when off the diagonal): their
-    position in _POSITIONS, row axis and column axis."""
-    entries = []
-    for i, (a, b) in enumerate(_POSITIONS):
-        entries.append((i, a, b))
-        if a != b:
-            entries.append((i, b, a))
-    return np.array(entries).T
-
-
-_ENTRY_POS, _ENTRY_ROW, _ENTRY_COL = _mirrored_entries()
-
-
-@dataclass(frozen=True)
-class AcopfLayout:
-    """One stage's variable block: columns counted from the block's start.
-
-    Keys are positions into case.buses / case.gens.  Isolated buses and
-    out-of-service generators are absent from the maps.
-    """
-
-    n_vars: int
-    va: dict[int, int]
-    vm: dict[int, int]
-    pg: dict[int, int]
-    qg: dict[int, int]
 
 
 class _Stage:
@@ -223,7 +195,7 @@ class _Engine(_Grid):
         self.stages = [_Stage(c) for c in cases]
         pd, qd, gs, bs, xl, xu, x0 = [], [], [], [], [], [], []
         fo, to, y, rated, smax2 = [], [], [], [], []
-        gslot, cost, gen_w = [], [], []
+        gslot, gpos, cost, gen_w = [], [], [], []
         # each stage's slices of the stacked buses, units and branches
         self.slices = []
         nbus = nbr = ngen = 0
@@ -242,6 +214,7 @@ class _Engine(_Grid):
             rated += [nbr + i for i in st.rated]
             smax2 += [(brv[i].rate_a / base) ** 2 for i in st.rated]
             gslot += [nbus + st.slot[case.bus_pos[g.bus]] for g in gv]
+            gpos += st.live_gens
             cost += [(g.cost.c2 * base * base, g.cost.c1 * base, g.cost.c0)
                      for g in gv]
             gen_w += [w] * st.ng
@@ -289,18 +262,10 @@ class _Engine(_Grid):
         self.q_row = self.p_row + nb[bstage]
         self.pg_col = self.var_off[gstage] + 2 * nb[gstage] + gk
         self.qg_col = self.pg_col + ng[gstage]
-
-    def layouts(self) -> tuple[AcopfLayout, ...]:
-        """Each stage's variable block, read off the stacked columns."""
-        out = []
-        for st, v, (bus, gen, _) in zip(self.stages, self.var_off,
-                                        self.slices):
-            va, vm = (dict(zip(st.active, (c[bus] - v).tolist()))
-                      for c in (self.va_col, self.vm_col))
-            pg, qg = (dict(zip(st.live_gens, (c[gen] - v).tolist()))
-                      for c in (self.pg_col, self.qg_col))
-            out.append(AcopfLayout(2 * (st.nb + st.ng), va, vm, pg, qg))
-        return tuple(out)
+        # PG column by (stage, position in case.gens); -1 for a unit out
+        self.pg_at = np.full((len(cases), max(len(c.gens) for c in cases)),
+                             -1, dtype=np.intp)
+        self.pg_at[gstage, gpos] = self.pg_col
 
     def solved(self, x: np.ndarray) -> tuple[SolvedCase, ...]:
         """Every stage's SolvedCase at the NLP point x: one flows pass
@@ -324,6 +289,21 @@ class _Engine(_Grid):
                 objective=float(sum(case.gens[j].cost.at(pg[j])
                                     for j in st.live_gens))))
         return tuple(out)
+
+    def packed(self, solved) -> np.ndarray:
+        """The NLP point holding every stage's SolvedCase voltages and
+        dispatch, the inverse of `solved` (flows are ignored)."""
+        if len(solved) != len(self.stages):
+            raise DimensionMismatch(
+                f"{len(solved)} solved cases for {len(self.stages)} stages")
+        pairs = list(zip(self.stages, solved))
+        x = np.zeros(self.n)
+        x[self.va_col] = np.concatenate([s.va[st.active] for st, s in pairs])
+        x[self.vm_col] = np.concatenate([s.vm[st.active] for st, s in pairs])
+        for cols, key in ((self.pg_col, "pg"), (self.qg_col, "qg")):
+            x[cols] = np.concatenate([getattr(s, key)[st.live_gens]
+                                      / st.case.base_mva for st, s in pairs])
+        return x
 
     # --- the NLP ---------------------------------------------------------
 
@@ -377,12 +357,13 @@ class _Engine(_Grid):
         self.jac_rows = np.concatenate(rows)
         self.jac_cols = np.concatenate(cols)
 
-        # Hessian: 10 unique positions per branch, mirrored; plus the
-        # shunt and objective diagonals.
+        # Hessian, lower triangle only: the 10 positions of each branch
+        # with row >= column, then the shunt and objective diagonals.
         axes = np.stack(self.axis_cols)
-        self.hess_rows = np.concatenate([axes[_ENTRY_ROW].ravel(),
+        at_a, at_b = axes[_POS_A], axes[_POS_B]
+        self.hess_rows = np.concatenate([np.maximum(at_a, at_b).ravel(),
                                          self.vm_col, self.pg_col])
-        self.hess_cols = np.concatenate([axes[_ENTRY_COL].ravel(),
+        self.hess_cols = np.concatenate([np.minimum(at_a, at_b).ravel(),
                                          self.vm_col, self.pg_col])
 
     # --- evaluation ------------------------------------------------------
@@ -487,7 +468,7 @@ class _Engine(_Grid):
         lam_p_bus = -mult[self.p_row]
         lam_q_bus = -mult[self.q_row]
         return self._hess.wrap(np.concatenate([
-            v[_ENTRY_POS].ravel(),
+            v.ravel(),
             2 * (lam_p_bus * self.gs - lam_q_bus * self.bs),
             2 * (obj_factor * self.gen_w) * self.cost_a]))
 
@@ -528,42 +509,21 @@ class SolvedCase:
                                 branch=branch, gencost=base.gencost)
 
 
-def _branch_flows_mw(case: NetworkCase, va: np.ndarray, vm: np.ndarray):
-    """Branch flows (MW / MVAr) at bus-position voltage arrays; zero on
-    out-of-service branches."""
-    grid, live = _Grid.of_case(case)
-    flows = tuple(np.zeros(len(case.branches)) for _ in range(4))
-    if live.size:
-        fo = grid.flows(va, vm)
-        for out, key in zip(flows, ("pf", "qf", "pt", "qt")):
-            out[live] = fo[key] * case.base_mva
-    return flows
-
-
-def pack_solution(case: NetworkCase, layout: AcopfLayout,
-                  sol: SolvedCase) -> np.ndarray:
-    """Inverse of one stage of extract_solution (flows ignored)."""
-    x = np.zeros(layout.n_vars)
-    for pos, idx in layout.va.items():
-        x[idx] = sol.va[pos]
-        x[layout.vm[pos]] = sol.vm[pos]
-    for gpos, idx in layout.pg.items():
-        x[idx] = sol.pg[gpos] / case.base_mva
-        x[layout.qg[gpos]] = sol.qg[gpos] / case.base_mva
-    return x
-
-
 def solution_from_case(case: NetworkCase) -> SolvedCase:
-    """Treat the case's stored voltages and dispatch as a solution."""
+    """Treat the case's stored voltages and dispatch as a solution; flows
+    are zero on out-of-service branches."""
     vm = np.array([b.vm for b in case.buses])
     va = np.array([b.va for b in case.buses])
     pg = np.array([g.pg if g.status else 0.0 for g in case.gens])
     qg = np.array([g.qg if g.status else 0.0 for g in case.gens])
-    pfl, qfl, ptl, qtl = _branch_flows_mw(case, va, vm)
+    grid, live = _Grid.of_case(case)
+    fo = grid.flows(va, vm)
     obj = float(sum(g.cost.at(pg[j]) for j, g in enumerate(case.gens)
                     if g.status))
-    return SolvedCase(case=case, vm=vm, va=va, pg=pg, qg=qg, pf=pfl, qf=qfl,
-                      pt=ptl, qt=qtl, objective=obj)
+    return SolvedCase(
+        case=case, vm=vm, va=va, pg=pg, qg=qg, objective=obj,
+        **{k: _scatter(len(case.branches), live, fo[k] * case.base_mva)
+           for k in ("pf", "qf", "pt", "qt")})
 
 
 def residuals_at(case: NetworkCase, sol: SolvedCase):

@@ -34,7 +34,8 @@ A composite is not a loop over stage problems: one ACOPF engine
 rows, so each callback is one vectorized pass.  Stage variables stay
 stage-major, and the CompositeIndexMap locates each stage's block.
 `build_acopf` is the one-stage composite.  `extract_solution` maps a
-point back to every stage's SolvedCase through the engine the map holds.
+point back to every stage's SolvedCase through the engine the map holds,
+and `pack_solution` is its inverse.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .acopf import AcopfLayout, SolvedCase, _Engine
+from .acopf import SolvedCase, _Engine
 from .errors import EmptyScenarioSet, InvalidPlan, TopologyMismatch
 from .inputs import ContingencySet, ScenarioSet
 from .network import (
@@ -111,7 +112,6 @@ class CompositeIndexMap:
     var_offset: tuple[int, ...]
     coupling_rows: tuple[CouplingRow, ...]
     weights: tuple[float, ...]      # per-stage objective weights
-    layouts: tuple[AcopfLayout, ...]
     _engine: _Engine = field(repr=False, compare=False)
 
 
@@ -240,24 +240,21 @@ class _Builder:
 
     def assemble(self) -> tuple[NlpProblem, CompositeIndexMap]:
         engine = _Engine([s.case for s in self.specs], self.weights)
-        layouts = engine.layouts()
         pins = [r for r in self.rows if r.is_equality]
         boxes = [r for r in self.rows if not r.is_equality]
-
-        def var_of(r: CouplingRow, stage: int) -> int:
-            return int(engine.var_off[stage] + layouts[stage].pg[r.gen])
-
-        problem = engine.nlp(
-            self.name, [(var_of(r, r.stage_a), var_of(r, r.stage_b))
-                        for r in pins + boxes],
-            len(pins), [r.bound for r in boxes])
+        rows = pins + boxes
+        # each row's unit on its two stages: pg_at[(stage_a, stage_b), gen]
+        at = np.array([(r.stage_a, r.stage_b, r.gen) for r in rows],
+                      dtype=np.intp).reshape(-1, 3)
+        problem = engine.nlp(self.name, engine.pg_at[at[:, :2], at[:, 2:]],
+                             len(pins), [r.bound for r in boxes])
         coupling = tuple(replace(r, row=int(row))
-                         for r, row in zip(pins + boxes, engine.link_rows))
+                         for r, row in zip(rows, engine.link_rows))
         return problem, CompositeIndexMap(
             stages=tuple(self.specs),
             var_offset=tuple(engine.var_off.tolist()),
             coupling_rows=coupling, weights=tuple(self.weights),
-            layouts=layouts, _engine=engine)
+            _engine=engine)
 
 
 def extract_solution(imap: CompositeIndexMap,
@@ -265,6 +262,15 @@ def extract_solution(imap: CompositeIndexMap,
     """Every stage's SolvedCase at the composite's NLP point x, in stage
     order.  Raises DimensionMismatch when x does not fit the NLP."""
     return imap._engine.solved(x)
+
+
+def pack_solution(imap: CompositeIndexMap,
+                  solved: tuple[SolvedCase, ...]) -> np.ndarray:
+    """The composite's NLP point holding every stage's voltages and
+    dispatch, in stage order: the inverse of extract_solution (flows and
+    objectives are ignored).  Raises DimensionMismatch unless there is
+    one SolvedCase per stage."""
+    return imap._engine.packed(solved)
 
 
 def build_acopf(case: NetworkCase):

@@ -166,18 +166,12 @@ class _Csr:
     is refilled.  Products are np.bincount sums in entry order, which
     add in the order scipy's CSR (A @ x) and CSC (A' @ y) matvecs do."""
 
-    def __init__(self, indptr, indices, shape, data=None):
+    def __init__(self, indptr, indices, shape, data):
         self.indptr = np.asarray(indptr, dtype=np.intp)
         self.cols = np.asarray(indices, dtype=np.intp)
         self.shape = shape
         self.rows = np.repeat(np.arange(shape[0]), np.diff(self.indptr))
-        self.data = np.zeros(self.cols.size) if data is None else data
-
-    @classmethod
-    def of(cls, mat) -> _Csr:
-        mat = sp.csr_matrix(mat, copy=True)
-        mat.sum_duplicates()
-        return cls(mat.indptr, mat.indices, mat.shape, mat.data)
+        self.data = data
 
     def dot(self, x: np.ndarray) -> np.ndarray:
         return np.bincount(self.rows, weights=self.data * x[self.cols],
@@ -226,7 +220,6 @@ class _View:
         self.p = p
         fixed = p.xl == p.xu
         self.free = np.flatnonzero(~fixed)
-        self.fixed = np.flatnonzero(fixed)
         self.template = np.where(fixed, p.xl, 0.0)
         self.n = self.free.size
         self.xl = p.xl[self.free]
@@ -414,16 +407,6 @@ class _Kkt:
             reg = max(_REG0, reg_last / 3.0 if reg == 0.0 else 10.0 * reg)
             delta = max(_DELTA0, 10.0 * delta)
         return None, reg
-
-
-def _kkt_lower(hess, dx_diag, ji, ds_diag, je) -> _Kkt:
-    """K for one set of scipy blocks (hess the whole symmetric (1,1)
-    block), its pattern built and filled once."""
-    h = sp.coo_matrix(hess)
-    low = h.row >= h.col
-    ji, je = _Csr.of(ji), _Csr.of(je)
-    return _Kkt(h.row[low], h.col[low], ji, je).fill(
-        h.data[low], dx_diag, ji.data, ds_diag, je.data)
 
 
 class _SparseLdl:
@@ -683,7 +666,6 @@ class _Ipm:
             merit0, f = self._merit(xs, mu, nu, c, f)
             alpha = a_p
             accepted = False
-            soc_left = 1
             while alpha >= _STEP_MIN:
                 xs_t = xs + alpha * d
                 c_t = v.constraints(xs_t[:n])
@@ -691,10 +673,10 @@ class _Ipm:
                 if trial <= merit0 + 1e-4 * alpha * min(descent, 0.0):
                     accepted = True
                     break
-                if soc_left and alpha == a_p:
-                    # second-order correction: same factorization, the
+                if alpha == a_p:
+                    # second-order correction, once: only the first trial
+                    # takes the full step; same factorization, the
                     # residuals of the rejected full step
-                    soc_left -= 1
                     d2, dlam_e2 = recover(c_t[me:] - xs_t[n:], c_t[:me])
                     a2 = primal_max(d2)
                     xs_t = xs + a2 * d2
@@ -780,22 +762,35 @@ class _Ipm:
 def solve(problem: NlpProblem, options: SolverOptions | None = None) -> SolveResult:
     """Solve the NLP; never raises for numerical trouble, see status.
 
-    A start point that is not finite once clipped into the bounds ends
-    NumericFailure at iteration 0, before any callback runs.
+    Two inputs end at iteration 0, before any callback runs: a variable
+    with xl > xu or a row with gl > gu ends Infeasible, and a start
+    point that is not finite once clipped into the bounds ends
+    NumericFailure.  The message names the first such entry.
     """
-    free = np.flatnonzero(problem.xl != problem.xu)
-    start = _push_interior(problem.x0[free], problem.xl[free],
-                           problem.xu[free])
+    p = problem
+    for lo, hi, side in ((p.xl, p.xu, "x"), (p.gl, p.gu, "g")):
+        crossed = np.flatnonzero(lo > hi)
+        if crossed.size:
+            k = crossed[0]
+            return _unsolved(p, INFEASIBLE, f"crossed bounds: {side}l[{k}] "
+                             f"= {lo[k]} > {side}u[{k}] = {hi[k]}")
+    free = np.flatnonzero(p.xl != p.xu)
+    start = _push_interior(p.x0[free], p.xl[free], p.xu[free])
     if np.all(np.isfinite(start)):
-        return _Ipm(problem, options or SolverOptions()).solve()
+        return _Ipm(p, options or SolverOptions()).solve()
     k = free[~np.isfinite(start)][0]
-    n, nan = problem.n, float("nan")
+    return _unsolved(p, NUMERIC_FAILURE,
+                     f"start point is not finite: x0[{k}] = {p.x0[k]}")
+
+
+def _unsolved(p: NlpProblem, status: str, message: str) -> SolveResult:
+    """The result of a solve that ends before its first callback."""
+    nan = float("nan")
     return SolveResult(
-        status=NUMERIC_FAILURE, x=problem.x0.copy(), objective=nan,
-        lambda_eq=np.zeros(problem.m_eq),
-        lambda_ineq=np.zeros(problem.m_ineq), z_lb=np.zeros(n),
-        z_ub=np.zeros(n), kkt=(nan, nan, nan), iterations=0,
-        message=f"start point is not finite: x0[{k}] = {problem.x0[k]}")
+        status=status, x=p.x0.copy(), objective=nan,
+        lambda_eq=np.zeros(p.m_eq), lambda_ineq=np.zeros(p.m_ineq),
+        z_lb=np.zeros(p.n), z_ub=np.zeros(p.n), kkt=(nan, nan, nan),
+        iterations=0, message=message)
 
 
 # --- KKT error (public, point-wise) ---------------------------------------
@@ -876,8 +871,10 @@ def check_derivatives(p: NlpProblem, x: np.ndarray) -> DerivativeReport:
     An entry's error is |a - fd| / max(1, |a|, |fd|), 0 when |a| and |fd|
     are at most 1e-8; the Hessian is checked against differences of the
     Lagrangian gradient with obj_factor 1 and a fixed multiplier vector.
-    Each worst entry is the first largest error in variable-major order,
-    zeros when every error is 0; a NaN is the worst, and fails ok().
+    Hessians are compared on their lower triangles, all the solver
+    reads.  Each worst entry is the first largest error in
+    variable-major order, zeros when every error is 0; a NaN is the
+    worst, and fails ok().
     """
     n, m = p.n, p.m_eq + p.m_ineq
     mult = np.random.default_rng(0).uniform(-1.0, 1.0, m)
@@ -895,7 +892,7 @@ def check_derivatives(p: NlpProblem, x: np.ndarray) -> DerivativeReport:
     fd_f, fd_c, fd_h = (np.array(col).T for col in zip(*cols))
     max_g, (_, i, g_i, fd_i) = _worst(p.gradient(x)[None], fd_f[None])
     max_j, worst_j = _worst(p.jacobian(x).toarray(), fd_c)
-    max_h, worst_h = _worst(p.lagrangian_hessian(x, 1.0, mult).toarray(),
-                            fd_h)
+    max_h, worst_h = _worst(
+        np.tril(p.lagrangian_hessian(x, 1.0, mult).toarray()), np.tril(fd_h))
     return DerivativeReport(max_g, max_j, max_h, (i, g_i, fd_i), worst_j,
                             worst_h)

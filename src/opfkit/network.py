@@ -20,6 +20,7 @@ from .errors import (
     Disconnected,
     IndexOutOfRange,
     IslandingDetected,
+    MalformedRow,
     MissingSection,
     NoReferenceBus,
     TargetOnNonWind,
@@ -161,6 +162,9 @@ def _gen_from_row(i: int, row: tuple[float, ...],
     tail = row[10:]
     # 1-indexed gen column 18 carries the 30-minute ramp: tail position 7.
     ramp_30 = tail[7] if len(tail) > 7 else 0.0
+    if ramp_30 < 0.0:
+        raise MalformedRow(f"mpc.gen row {i + 1}: column 18 (ramp_30) is "
+                           f"{ramp_30}, need a limit of at least 0")
     ncost = int_cell("gencost", i, cost_row, 3)
     coeffs = cost_row[4:4 + ncost]
     padded = (0.0,) * (3 - ncost) + tuple(coeffs)
@@ -178,7 +182,8 @@ def _gen_from_row(i: int, row: tuple[float, ...],
 def from_raw(raw: matpower.RawCase) -> NetworkCase:
     """Build the typed model; degree fields become radians.
 
-    Raises MalformedRow (an integer code that is not finite),
+    Raises MalformedRow (an integer code that is not finite, or a
+    negative ramp limit),
     MissingSection (fewer gencost rows than generators),
     DanglingReference, NoReferenceBus or ZeroImpedance.
     """

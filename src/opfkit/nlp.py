@@ -7,10 +7,12 @@
 
 constraints(x) returns the stacked vector [c_eq; c_ineq] and
 jacobian(x) the matching (m_eq + m_ineq) x n sparse matrix.
-lagrangian_hessian(x, obj_factor, mult) returns the sparse symmetric
+lagrangian_hessian(x, obj_factor, mult) returns the sparse n x n
 matrix obj_factor * H(f) + sum_k mult[k] * H(c_k) with mult running
-over the same stacked constraint order; the solver reads its lower
-triangle.  Infinite bounds use +-inf.
+over the same stacked constraint order.  The solver reads only its
+lower triangle (row >= column), so a callback may return the whole
+symmetric matrix or the lower triangle alone.  Infinite bounds use
++-inf.
 
 Sparsity contract: the Jacobian and Hessian callbacks keep one
 sparsity pattern at every evaluation point.  Each matrix is first made

@@ -46,7 +46,7 @@ from opfkit.composer import RAMP
 from opfkit.matpower import format_case
 
 import problems
-from util import interior_points
+from util import interior_points, stage_columns
 
 NET = "tests/data/case9.m"
 CTG = "tests/data/ctgc.cont"
@@ -184,7 +184,7 @@ class TestAcceptance:
 
         def dispatch(imap, x, k):
             lo = imap.var_offset[k]
-            lay = imap.layouts[k]
+            lay = stage_columns(imap.stages[k].case)
             return {g: x[lo + lay.pg[g]] * case9.base_mva for g in lay.pg}
 
         d0 = dispatch(imap_free, r_free.x, 0)

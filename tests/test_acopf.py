@@ -5,11 +5,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from opfkit import (
+    CouplingMode,
     SolverOptions,
     build_acopf,
     check_derivatives,
+    compose_general,
     errors,
     extract_solution,
     pack_solution,
@@ -19,14 +22,14 @@ from opfkit import (
 )
 from opfkit.acopf import _Engine
 
-from util import interior_points
+from util import interior_points, stage_columns
 
 
 class TestBuild:
 
     def test_variable_count(self, case9):
-        p, imap = build_acopf(case9)
-        layout = imap.layouts[0]
+        p, _ = build_acopf(case9)
+        layout = stage_columns(case9)
         # 9 va + 9 vm + 3 pg + 3 qg
         assert p.n == layout.n_vars == 24
         assert len(layout.va) == len(layout.vm) == 9
@@ -38,14 +41,14 @@ class TestBuild:
         assert p.m_ineq == 18        # |S|^2 at both ends, all rated
 
     def test_reference_angle_pinned(self, case9):
-        p, imap = build_acopf(case9)
+        p, _ = build_acopf(case9)
         ref = next(pos for pos, b in enumerate(case9.buses) if b.btype == 3)
-        i = imap.layouts[0].va[ref]
+        i = stage_columns(case9).va[ref]
         assert p.xl[i] == p.xu[i] == 0.0
 
     def test_voltage_and_dispatch_bounds(self, case9):
-        p, imap = build_acopf(case9)
-        layout = imap.layouts[0]
+        p, _ = build_acopf(case9)
+        layout = stage_columns(case9)
         for pos, b in enumerate(case9.buses):
             assert p.xl[layout.vm[pos]] == b.vmin
             assert p.xu[layout.vm[pos]] == b.vmax
@@ -65,9 +68,12 @@ class TestBuild:
     def test_outaged_gen_leaves_problem(self, case9):
         gens = (case9.gens[0], replace(case9.gens[1], status=0),
                 case9.gens[2])
-        p, imap = build_acopf(replace(case9, gens=gens))
+        p, _ = build_acopf(replace(case9, gens=gens))
         assert p.n == 22
-        assert 1 not in imap.layouts[0].pg
+        # the live units 0 and 2 take the two PG columns
+        pg = stage_columns(replace(case9, gens=gens)).pg
+        assert [p.xu[pg[j]] for j in (0, 2)] == [g.pmax / 100.0 for g in
+                                                 (gens[0], gens[2])]
 
     def test_disconnected_case_rejected(self, case9):
         branches = tuple(br for br in case9.branches
@@ -76,8 +82,8 @@ class TestBuild:
             build_acopf(replace(case9, branches=branches))
 
     def test_objective_matches_cost_at_start(self, case9):
-        p, imap = build_acopf(case9)
-        layout = imap.layouts[0]
+        p, _ = build_acopf(case9)
+        layout = stage_columns(case9)
         by_hand = sum(g.cost.at(p.x0[layout.pg[i]] * 100.0)
                       for i, g in enumerate(case9.gens))
         assert p.objective(p.x0) == pytest.approx(by_hand, rel=1e-12)
@@ -134,6 +140,20 @@ class TestDerivatives:
             assert rep.jac_max_rel <= 1e-6
             assert rep.hess_max_rel <= 1e-5
 
+    @pytest.mark.parametrize("flagship", [False, True])
+    def test_hessian_is_lower_triangle(self, case9, scens, ctgs, flagship):
+        """The engine returns only the entries the solver reads: none
+        above the diagonal, for one stage and for the 60-stage flagship
+        composite."""
+        if flagship:
+            p, _ = compose_general(scens, ctgs, [case9] * 3,
+                                   CouplingMode(kind="preventive"), 5.0)
+        else:
+            p, _ = build_acopf(case9)
+        mult = np.random.default_rng(2).normal(size=p.m_eq + p.m_ineq)
+        h = p.lagrangian_hessian(p.x0, 1.0, mult)
+        assert h.nnz > 0 and sp.triu(h, 1).nnz == 0
+
     def test_tap_and_shift_branches(self, case9):
         """Transformer taps and phase shifts keep exact derivatives."""
         branches = (replace(case9.branches[0], ratio=0.95,
@@ -150,9 +170,22 @@ class TestSolutionTransport:
 
     def test_pack_extract_inverse(self, case9, base_solve):
         _, imap, r = base_solve
-        (sol,) = extract_solution(imap, r.x)
-        again = pack_solution(case9, imap.layouts[0], sol)
+        again = pack_solution(imap, extract_solution(imap, r.x))
         assert np.max(np.abs(again - r.x)) <= 1e-12
+
+    def test_pack_extract_inverse_over_stages(self, case9, scens, ctgs):
+        """Stages that differ in their live units pack back in stage
+        order."""
+        p, imap = compose_general(scens, ctgs.truncated(3), [case9] * 2,
+                                  CouplingMode(), 5.0)
+        x = interior_points(p, 1, np.random.default_rng(6))[0]
+        again = pack_solution(imap, extract_solution(imap, x))
+        assert np.max(np.abs(again - x)) <= 1e-12
+
+    def test_pack_rejects_wrong_stage_count(self, base_solve):
+        _, imap, r = base_solve
+        with pytest.raises(errors.DimensionMismatch):
+            pack_solution(imap, extract_solution(imap, r.x) * 2)
 
     def test_extract_rejects_wrong_shape(self, case9, base_solve):
         _, imap, r = base_solve
@@ -190,8 +223,7 @@ class TestSolveQuality:
         objective as the default start."""
         p, imap = build_acopf(case9)
         cold = solve(p, SolverOptions())
-        p.x0 = pack_solution(case9, imap.layouts[0],
-                             solution_from_case(case9))
+        p.x0 = pack_solution(imap, (solution_from_case(case9),))
         warm = solve(p, SolverOptions())
         assert warm.status == cold.status == "Optimal"
         assert warm.objective == pytest.approx(cold.objective, rel=1e-7)

@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from opfkit import cli, errors
-from opfkit.matpower import parse_case
+from opfkit.matpower import format_case, parse_case, parse_case_file
 
 NET = "tests/data/case9.m"
 CTG = "tests/data/ctgc.cont"
@@ -332,6 +334,37 @@ class TestEntry:
         assert code == cli.EXIT_USAGE
         assert "dt_minutes must be finite and positive" in \
             capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_ramp_exits_2(self, tmp_path, capsys):
+        """Ramps of -5 MW gave a two-period horizon ramp rows with
+        gl > gu, and the solve ended Infeasible (exit 4)."""
+        raw = parse_case_file(NET)
+        gens = tuple(row[:17] + (-5.0,) + row[18:] for row in raw.gen)
+        net = tmp_path / "case9.m"
+        net.write_text(format_case(replace(raw, gen=gens)))
+        code = cli.entry(["tcopflow", "--netfile", str(net), "--nt", "2",
+                          "--outdir", str(tmp_path / "out")])
+        assert code == cli.EXIT_USAGE
+        assert "mpc.gen row 1: column 18" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_flat_over_periods_exits_2(self, tmp_path, capsys):
+        code = cli.entry(["sopflow", "--netfile", NET, "--ctgcfile", CTG,
+                          "--scenfile", SCEN, "--structure", "flat",
+                          "--nt", "2", "--outdir", str(tmp_path / "out")])
+        assert code == cli.EXIT_USAGE
+        assert "single-period" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_scenario_weights_exit_2(self, tmp_path, capsys):
+        scen = tmp_path / "scen.csv"
+        scen.write_text("scenario,weight,wind_3_1\n1,0,75\n2,0,85\n")
+        code = cli.entry(["sopflow", "--netfile", NET, "--ctgcfile", CTG,
+                          "--scenfile", str(scen),
+                          "--outdir", str(tmp_path / "out")])
+        assert code == cli.EXIT_USAGE
+        assert "scenario weights sum to zero" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flags", [

@@ -33,7 +33,7 @@ from opfkit.acopf import SolvedCase, _Grid
 from opfkit.composer import CONTINGENCY_BOX, PREVENTIVE_PIN, RAMP, SCENARIO_BOX
 from opfkit.inputs import ContingencySet, ScenarioSet
 
-from util import interior_points
+from util import interior_points, stage_columns
 
 CORR = CouplingMode(kind="corrective")
 PREV = CouplingMode(kind="preventive")
@@ -47,14 +47,14 @@ def load_steps(case, nt):
 
 
 def stage_offsets(imap):
-    """Each stage's own build_acopf problem and layout, and the offsets
+    """Each stage's own build_acopf problem and columns, and the offsets
     of its variable block and of its equality and inequality rows in
     their regions, summed from those problems' sizes."""
-    stages = [build_acopf(stage.case) for stage in imap.stages]
-    sizes = np.array([(p.n, p.m_eq, p.m_ineq) for p, _ in stages])
+    problems = [build_acopf(stage.case)[0] for stage in imap.stages]
+    sizes = np.array([(p.n, p.m_eq, p.m_ineq) for p in problems])
     offsets = np.cumsum(sizes, axis=0) - sizes
-    return [(p, sub.layouts[0], *off.tolist())
-            for (p, sub), off in zip(stages, offsets)]
+    return [(p, stage_columns(stage.case), *off.tolist())
+            for p, stage, off in zip(problems, imap.stages, offsets)]
 
 
 def stacked_reference(problem, imap, x, sigma, mult):
@@ -267,9 +267,10 @@ class TestEngineMatchesStages:
 
 def reference_solution(imap, x, k):
     """Stage k's SolvedCase at the composite point x, built apart from
-    the engine: its block of x read through imap.layouts[k] and its
-    flows from the stage case's own _Grid."""
-    case, lay = imap.stages[k].case, imap.layouts[k]
+    the engine: its block of x read through the stage's documented
+    columns and its flows from the stage case's own _Grid."""
+    case = imap.stages[k].case
+    lay = stage_columns(case)
     xk = x[imap.var_offset[k]:imap.var_offset[k] + lay.n_vars]
     base = case.base_mva
     va, vm = np.zeros(len(case.buses)), np.zeros(len(case.buses))
@@ -430,7 +431,7 @@ class TestCouplingRows:
         p, imap = compose_multiperiod([case9] * 2, 5.0)
         x = p.x0.copy()
         ramp0 = next(r for r in imap.coupling_rows if r.gen == 0)
-        child_var = imap.var_offset[1] + imap.layouts[1].pg[0]
+        child_var = imap.var_offset[1] + stage_columns(case9).pg[0]
         x[child_var] += 0.02
         assert p.constraints(x)[ramp0.row] == pytest.approx(0.02)
 

@@ -20,8 +20,8 @@ from opfkit import (
     kkt_error,
     solve,
 )
-from opfkit.ipm import (DerivativeReport, _Ipm, _Kkt, _kkt_lower,
-                        _SparseLdl, _View)
+from opfkit.ipm import (DerivativeReport, _Csr, _Ipm, _Kkt, _SparseLdl,
+                        _View)
 
 from problems import (
     concave_box,
@@ -153,20 +153,23 @@ def _one_variable_qp(x0, xu=np.inf):
         name="one-variable-qp")
 
 
+def _without_callbacks(p):
+    """p with every callback raising when called."""
+    def never(*args):
+        raise AssertionError("callback evaluated")
+    for name in ("objective", "gradient", "constraints", "jacobian",
+                 "lagrangian_hessian"):
+        setattr(p, name, never)
+    return p
+
+
 class TestNonFiniteStart:
 
     @pytest.mark.parametrize("x0", [np.inf, -np.inf, np.nan])
     def test_non_finite_start_is_numeric_failure(self, x0):
         """x0 = inf made the objective scale 100 / inf = 0 and the solve
         raised ZeroDivisionError; it now returns before any callback."""
-        p = _one_variable_qp(x0)
-
-        def never(*args):
-            raise AssertionError("callback evaluated at a non-finite start")
-        for name in ("objective", "gradient", "constraints", "jacobian",
-                     "lagrangian_hessian"):
-            setattr(p, name, never)
-        r = solve(p)
+        r = solve(_without_callbacks(_one_variable_qp(x0)))
         assert r.status == "NumericFailure"
         assert r.iterations == 0 and r.iter_log == []
         assert r.message == f"start point is not finite: x0[0] = {x0}"
@@ -175,6 +178,27 @@ class TestNonFiniteStart:
         r = solve(_one_variable_qp(np.inf, xu=5.0), TIGHT)
         assert r.status == "Optimal"
         assert abs(r.x[0]) <= 1e-8
+
+
+class TestCrossedBounds:
+
+    @pytest.mark.parametrize("side,message", [
+        ("x", "crossed bounds: xl[0] = 1.0 > xu[0] = 0.0"),
+        ("g", "crossed bounds: gl[0] = 1.0 > gu[0] = 0.0")])
+    def test_crossed_bounds_are_infeasible_at_start(self, side, message):
+        """xl > xu ended NumericFailure (line search step below minimum)
+        and gl > gu Infeasible on a stalled line search, each after
+        callbacks; both now end Infeasible before any callback."""
+        p, _ = qp_inequality()
+        if side == "x":
+            p.xl, p.xu = np.array([1.0, -np.inf]), np.array([0.0, np.inf])
+        else:
+            p.gl, p.gu = np.array([1.0]), np.array([0.0])
+        r = solve(_without_callbacks(p))
+        assert r.status == "Infeasible"
+        assert r.iterations == 0 and r.iter_log == []
+        assert r.message == message
+        assert np.array_equal(r.x, p.x0)
 
 
 class TestRegularization:
@@ -267,6 +291,17 @@ class TestEvaluations:
             assert repeats == [], name
         assert calls == {"gradient": r.iterations + 2,
                          "jacobian": r.iterations + 2}
+
+
+def _kkt_lower(hess, dx_diag, ji, ds_diag, je) -> _Kkt:
+    """K for one set of scipy blocks (hess the whole symmetric (1,1)
+    block), its pattern built and filled once."""
+    h = sp.coo_matrix(hess)
+    low = h.row >= h.col
+    ji, je = (_Csr(m.indptr, m.indices, m.shape, m.data)
+              for m in (sp.csr_matrix(ji), sp.csr_matrix(je)))
+    return _Kkt(h.row[low], h.col[low], ji, je).fill(
+        h.data[low], dx_diag, ji.data, ds_diag, je.data)
 
 
 def _kkt_blocks(seed, n, me, density):

@@ -38,6 +38,15 @@ class TestFromRaw:
         with pytest.raises(errors.MalformedRow, match=f"{section} row 2"):
             from_raw(replace(raw, **{section: tuple(rows)}))
 
+    def test_negative_ramp_rejected(self, case9_path):
+        """A negative ramp gave ramp rows with gl > gu, solved to
+        Infeasible; it is an input error naming its row."""
+        raw = parse_case_file(case9_path)
+        gens = list(raw.gen)
+        gens[1] = gens[1][:17] + (-5.0,) + gens[1][18:]
+        with pytest.raises(errors.MalformedRow, match="gen row 2: column 18"):
+            from_raw(replace(raw, gen=tuple(gens)))
+
     def test_degrees_become_radians(self, case9):
         # source file stores Va in degrees; bus 1 pins 0 either way
         for b in case9.buses:

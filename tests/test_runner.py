@@ -269,6 +269,19 @@ class TestEmpar:
             1.0, abs(mono.total_objective))
         assert compare_empar_monolithic(empar, mono) is None
 
+    def test_relaxation_excess_warns(self):
+        """An EMPAR total above the monolithic one by more than 1e-4
+        relative is reported with both KKT certificates."""
+        mono = run(RunPlan(application="Opf", netfile=NET))
+        total = mono.total_objective
+        near = replace(mono, total_objective=total * (1 + 0.5e-4))
+        above = replace(mono, total_objective=total * (1 + 2e-4))
+        assert compare_empar_monolithic(near, mono) is None
+        warning = compare_empar_monolithic(above, mono)
+        assert warning.startswith(f"EMPAR total {above.total_objective:.6f} "
+                                  f"exceeds monolithic total {total:.6f}")
+        assert "worst KKT empar=" in warning
+
     def test_anchor_restricts(self):
         """Anchoring boxes each chain around the pre-solved base
         dispatch, so chain objectives can only go up.  Generator
@@ -361,6 +374,24 @@ class TestEmpar:
                                             base.pg[j] - gens[j].ramp_30)
                 assert anchored.pmax == min(gens[j].pmax,
                                             base.pg[j] + gens[j].ramp_30)
+
+    def test_degraded_tree_skips_error_stages(self, monkeypatch, tmp_path):
+        """Error stages have no solution: the tree holds summary.json
+        and the other stages' files only."""
+        monkeypatch.setattr(runner, "compose_multiperiod",
+                            _raise_on_generator_outage)
+        out = tmp_path / "scopf"
+        report = run(scopf_plan(structure="Empar", nc=3, workers=1,
+                                outdir=str(out)))
+        assert report.status == "Degraded"
+        write_output_tree(report)
+        names = sorted(p.relative_to(out).as_posix()
+                       for p in out.rglob("*.m"))
+        assert names == ["cont_0/t_0.m", "cont_3/t_0.m"]
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "Degraded"
+        assert [(s["status"], s["objective"]) for s in summary["stages"]
+                if s["status"] == "Error"] == [("Error", None)] * 2
 
     def test_degraded_stage_reported(self):
         report = run(scopf_plan(structure="Empar", workers=1, max_iter=2))
