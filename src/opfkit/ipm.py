@@ -27,29 +27,29 @@ is quasi-definite, and a quasi-definite matrix has an LDL'
 factorization in every ordering (Vanderbei 1995).
 
 Every sparsity pattern is fixed once per solve, and each iteration
-refills values only.  The Jacobian pattern is read from the call that
-computes the row scaling, the Hessian pattern from the first Hessian
-call; a callback whose later pattern differs raises DimensionMismatch.
-Je and Ji are solver-owned: each Jacobian call gathers their values
-from the free columns and scales them by row, and products with them
-are bincounts that add in the order scipy's matvecs do.  At the first
-Newton step a scatter map is built from the Hessian's free lower
-triangle, a pair list for Ji' Ds Ji, Je and the diagonal into the .data
-of one mirrored CSC matrix K; later steps only refill it.  The first
-accepted factorization's minimum-degree ordering is kept: K is laid
-out in that order, and later factorizations use it as their natural
-order, with the same diagonal-pivot check and inertia count.
+refills values only.  The Jacobian pattern is read from the call at
+the start point, the Hessian pattern from the first Hessian call; a
+callback whose later pattern differs raises DimensionMismatch.  Je and
+Ji are solver-owned: each Jacobian call gathers their values from the
+free columns, and products with them are bincounts that add in the
+order scipy's matvecs do.  At the first Newton step a scatter map is
+built from the Hessian's free lower triangle, a pair list for Ji' Ds
+Ji, Je and the diagonal into the .data of one mirrored CSC matrix K;
+later steps only refill it.  The first accepted factorization's
+minimum-degree ordering is kept: K is laid out in that order, and
+later factorizations use it as their natural order, with the same
+diagonal-pivot check and inertia count.
 
 Globalization is a backtracking line search on the l1 exact-penalty
 merit function of the barrier problem.  The penalty is kept above the
 multiplier norms and cooled when they shrink; a rejected full step
 earns one second-order correction (the constraint residuals of the
 rejected trial point, same factorization) before backtracking.  The
-line search keeps the scaled objective and constraints of each trial
-point it evaluates, and the next iteration starts from those of the
+line search keeps the scaled objective and the constraints of each
+trial point it evaluates, and the next iteration starts from those of the
 trial it accepted, so no point is evaluated twice.  The gradient and
 Jacobian are evaluated once per accepted point; at the start point the
-scaling call's serve the first iteration.  Steps are clipped by the
+view's first calls serve the first iteration.  Steps are clipped by the
 fraction-to-boundary rule tau = max(0.99, 1 - mu).  The barrier
 parameter starts at 0.1 and follows the monotone schedule
 mu <- max(tol/10, 0.2 mu) whenever the mu-perturbed KKT error falls
@@ -58,10 +58,10 @@ scaled KKT error is at most tol.  SolverOptions holds tol and max_iter
 only; the other settings are the module constants _MU0, _KAPPA_MU,
 _TAU_MIN, _REG0, _MAX_REG_RETRIES and _DELTA0.
 
-The problem is solved under internal gradient-based scaling (objective
-and constraint rows scaled so their gradient norms at the start point
-are at most 100, never scaled up); results, multipliers, and every
-reported residual are in original units.
+Only the objective is scaled, so that its gradient norm at the start
+point is at most 100 (never scaled up).  Constraints, the Jacobian and
+multipliers reach the solver in original units, as do results and
+every reported residual.
 
 Convention: L = sigma f + lambda' c - z_lb'(x - xl) - z_ub'(xu - x),
 so multipliers satisfy grad f + J' lambda - z_lb + z_ub = 0.
@@ -204,16 +204,16 @@ def _canonical(mat, name: str, pattern):
 
 
 class _View:
-    """Problem with xl == xu variables substituted out, objective and
-    constraint rows scaled so start-point gradient norms are <= 100.
+    """Problem with xl == xu variables substituted out, the objective
+    scaled by s_f so its start-point gradient norm is <= 100, and the
+    constraints and Jacobian in original units.
 
-    The Jacobian pattern is read from the scaling call and the Hessian
-    pattern from the first Hessian call.  From then on each call only
-    gathers the free-column values: the Jacobian into the solver-owned
-    Je and Ji (scaled by row), the Hessian into the values of its free
-    lower triangle at (h_rows, h_cols).  The scaling call's derivatives
-    at x_start serve the solver's first iteration: g_start is the scaled
-    gradient there, and Je and Ji hold the scaled Jacobian there.
+    The Jacobian pattern is read at x_start and the Hessian pattern at
+    the first Hessian call; from then on each call only gathers the
+    free-column values: the Jacobian into the solver-owned Je and Ji,
+    the Hessian into its free lower triangle at (h_rows, h_cols).  The
+    derivatives at x_start serve the solver's first iteration: g_start
+    is the scaled gradient there, and Je and Ji hold the Jacobian.
     """
 
     def __init__(self, p: NlpProblem):
@@ -235,30 +235,17 @@ class _View:
         gmax = _amax(g0)
         self.s_f = min(1.0, _SCALE_GRAD / gmax) if gmax > 0 else 1.0
         self.g_start = self.s_f * g0
-        self._jac = None            # the Jacobian's pattern, once read
-        rows = cols = np.zeros(0, dtype=np.intp)
-        j_vals = np.zeros(0)
-        row_inf = np.zeros(m)
-        if m:
-            j0 = _canonical(self.p.jacobian(self.lift(self.x_start)),
-                            "jacobian", None)
-            self._jac = (j0.indptr.copy(), j0.indices.copy())
-            rows = np.repeat(np.arange(m), np.diff(j0.indptr))
-            cols = self.col[j0.indices]
-            self._j_take = np.flatnonzero(cols >= 0)
-            rows, cols = rows[self._j_take], cols[self._j_take]
-            j_vals = j0.data[self._j_take]
-            np.maximum.at(row_inf, rows, np.abs(j_vals))
-        with np.errstate(divide="ignore"):
-            self.s_c = np.minimum(1.0, _SCALE_GRAD / row_inf)
-        self.s_c[~np.isfinite(self.s_c)] = 1.0
-        self.gl = self.s_c[p.m_eq:] * p.gl
-        self.gu = self.s_c[p.m_eq:] * p.gu
-        self._j_scale = self.s_c[rows]
+        j0 = _canonical(self.p.jacobian(self.lift(self.x_start)),
+                        "jacobian", None)
+        self._jac = (j0.indptr.copy(), j0.indices.copy())
+        rows = np.repeat(np.arange(m), np.diff(j0.indptr))
+        cols = self.col[j0.indices]
+        self._j_take = np.flatnonzero(cols >= 0)
+        rows, cols = rows[self._j_take], cols[self._j_take]
         indptr = np.zeros(m + 1, dtype=np.intp)
         np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
         split = indptr[me]
-        self._j_data = j_vals * self._j_scale
+        self._j_data = j0.data[self._j_take]
         self.je = _Csr(indptr[:me + 1], cols[:split], (me, self.n),
                        self._j_data[:split])
         self.ji = _Csr(indptr[me:] - split, cols[split:],
@@ -277,22 +264,19 @@ class _View:
         return self.s_f * self.p.gradient(self.lift(x))[self.free]
 
     def constraints(self, x):
-        return self.s_c * self.p.constraints(self.lift(x))
+        return self.p.constraints(self.lift(x))
 
     def jacobian(self, x) -> tuple[_Csr, _Csr]:
         """(Je, Ji) at x, refilled in place."""
-        if self._jac is not None:
-            j = _canonical(self.p.jacobian(self.lift(x)), "jacobian",
-                           self._jac)
-            np.multiply(j.data[self._j_take], self._j_scale,
-                        out=self._j_data)
+        j = _canonical(self.p.jacobian(self.lift(x)), "jacobian", self._jac)
+        self._j_data[:] = j.data[self._j_take]
         return self.je, self.ji
 
     def hessian(self, x, sigma, mult) -> np.ndarray:
         """Values of the Hessian's free lower triangle at (h_rows,
         h_cols)."""
         h = _canonical(self.p.lagrangian_hessian(
-            self.lift(x), sigma * self.s_f, mult * self.s_c),
+            self.lift(x), sigma * self.s_f, mult),
             "lagrangian_hessian", self._hess)
         if self._hess is None:
             self._hess = (h.indptr.copy(), h.indices.copy())
@@ -484,13 +468,12 @@ class _Ipm:
         self.me = problem.m_eq
         self.mi = problem.m_ineq
         # bounds of the stacked primal (x, s) and their finite sides
-        self.lo = np.concatenate([v.xl, v.gl])
-        self.hi = np.concatenate([v.xu, v.gu])
+        self.lo = np.concatenate([v.xl, problem.gl])
+        self.hi = np.concatenate([v.xu, problem.gu])
         self.fl = np.isfinite(self.lo)
         self.fu = np.isfinite(self.hi)
-        # multiplier maps back to original units
-        self.u_eq = v.s_c[:self.me] / v.s_f
-        self.u_in = v.s_c[self.me:] / v.s_f
+        # multiplier map back to original units
+        self.u = 1.0 / v.s_f
         self.log: list[IterationRecord] = []
 
     def _gaps(self, xs):
@@ -509,8 +492,8 @@ class _Ipm:
 
     def _merit(self, xs, mu, nu, c, f=None):
         """Merit at (x, s) and the scaled objective f at x.  c is the
-        scaled constraint vector at x; f is evaluated when not given,
-        and stays None when the barrier is infinite."""
+        constraint vector at x; f is evaluated when not given, and stays
+        None when the barrier is infinite."""
         x, s = xs[:self.n], xs[self.n:]
         ce, ci = c[:self.me], c[self.me:]
         viol = (float(np.sum(np.abs(ce))) +
@@ -529,13 +512,13 @@ class _Ipm:
         mu_min = opt.tol / 10.0
         s_f = v.s_f
 
-        # scaled derivatives, constraints and objective at x; the view's
-        # scaling call gave those at the start point, and later ones are
+        # derivatives, constraints and scaled objective at x; the view's
+        # first calls gave those at the start point, and later ones are
         # taken at the trial point the line search accepted
         x, g = v.x_start, v.g_start
         je, ji = v.je, v.ji
         c, f = v.constraints(x), None
-        xs = np.concatenate([x, _push_interior(c[me:], v.gl, v.gu)])
+        xs = np.concatenate([x, _push_interior(c[me:], self.p.gl, self.p.gu)])
         lam_e = np.zeros(me)
         lam_i = np.zeros(mi)
         mu = _MU0
@@ -559,22 +542,21 @@ class _Ipm:
             r = np.concatenate([g, -lam_i]) - zl + zu
             rx, rs = r[:n] + jt_lam_e + jt_lam_i, r[n:]
 
-            # scaled-space residuals drive the barrier schedule
+            # residuals with the scaled objective drive the barrier schedule
             sd = max(1.0, max(_amax(lam_e), _amax(lam_i), _amax(zl),
                               _amax(zu)) / 100.0)
             stat_s = max(_amax(rx), _amax(rs)) / sd
-            feas_s = max(_amax(ce), _amax(ri))
+            feas = max(_amax(ce), _amax(ri))
             prods = np.concatenate([gap_l[fl] * zl[fl], gap_u[fu] * zu[fu]])
 
             # original-unit residuals decide termination and reporting
-            sd_u = max(1.0, max(_amax(lam_e * self.u_eq),
-                                _amax((zu[n:] - zl[n:]) * self.u_in),
+            sd_u = max(1.0, max(_amax(lam_e * self.u),
+                                _amax((zu[n:] - zl[n:]) * self.u),
                                 _amax(zl[:n] / s_f),
                                 _amax(zu[:n] / s_f)) / 100.0)
-            stat_u = max(_amax(rx) / s_f, _amax(rs * self.u_in)) / sd_u
-            feas_u = max(_amax(ce / v.s_c[:me]), _amax(ri / v.s_c[me:]))
+            stat_u = max(_amax(rx) / s_f, _amax(rs * self.u)) / sd_u
             comp_u = _amax(prods) / s_f / sd_u
-            kkt_out = (stat_u, feas_u, comp_u)
+            kkt_out = (stat_u, feas, comp_u)
             # all(), not max(): Python's max skips a NaN that is not first
             if all(v <= opt.tol for v in kkt_out):
                 check = self._kkt_original(x, lam_e, zl, zu)
@@ -584,18 +566,18 @@ class _Ipm:
                     break
 
             # infeasibility: no meaningful progress while violation stays up
-            if feas_u > _STALL_FEAS and feas_u > (1.0 - 1e-3) * best_feas:
+            if feas > _STALL_FEAS and feas > (1.0 - 1e-3) * best_feas:
                 stall += 1
             else:
                 stall = 0
-            best_feas = min(best_feas, feas_u)
+            best_feas = min(best_feas, feas)
             if stall >= _STALL_WINDOW:
                 status = INFEASIBLE
                 message = ("constraint violation stagnated above "
                            f"{_STALL_FEAS:g} for {_STALL_WINDOW} iterations")
                 break
 
-            if (max(stat_s, feas_s, _amax(prods - mu) / sd) <= 10.0 * mu
+            if (max(stat_s, feas, _amax(prods - mu) / sd) <= 10.0 * mu
                     and mu > mu_min):
                 mu = max(mu_min, _KAPPA_MU * mu)
 
@@ -692,10 +674,10 @@ class _Ipm:
             if not accepted:
                 # exact-penalty descent failed: at a clearly violated
                 # point that certifies local infeasibility
-                if feas_u > _STALL_FEAS:
+                if feas > _STALL_FEAS:
                     status = INFEASIBLE
                     message = ("line search stalled with constraint "
-                               f"violation {feas_u:.3e}")
+                               f"violation {feas:.3e}")
                 else:
                     status = NUMERIC_FAILURE
                     message = "line search step below minimum"
@@ -726,7 +708,7 @@ class _Ipm:
             gap_min = np.minimum(gap_l, gap_u)
             self.log.append(IterationRecord(
                 it=it, mu=mu, nu=nu, merit=merit0,
-                stationarity=stat_u, feasibility=feas_u,
+                stationarity=stat_u, feasibility=feas,
                 complementarity=comp_u, alpha_primal=alpha,
                 alpha_dual=a_d, reg=reg,
                 min_slack_gap=float(np.min(gap_min[n:], initial=np.inf)),
@@ -748,8 +730,8 @@ class _Ipm:
         z_ub = np.zeros(self.p.n)
         z_lb[v.free] = zl[:n] / v.s_f
         z_ub[v.free] = zu[:n] / v.s_f
-        return {"lambda_eq": lam_e * self.u_eq,
-                "lambda_ineq": (zu[n:] - zl[n:]) * self.u_in,
+        return {"lambda_eq": lam_e * self.u,
+                "lambda_ineq": (zu[n:] - zl[n:]) * self.u,
                 "z_lb": z_lb, "z_ub": z_ub}
 
     def _kkt_original(self, x, lam_e, zl, zu):
@@ -880,8 +862,7 @@ def check_derivatives(p: NlpProblem, x: np.ndarray) -> DerivativeReport:
     mult = np.random.default_rng(0).uniform(-1.0, 1.0, m)
 
     def lag_grad(pt):
-        out = p.gradient(pt)
-        return out + p.jacobian(pt).T @ mult if m else out
+        return p.gradient(pt) + p.jacobian(pt).T @ mult
 
     cols = []   # per variable: a column of fd_f, fd_c and fd_h
     for i in range(n):

@@ -157,6 +157,15 @@ class NetworkCase:
             gen=gen_rows, branch=branch_rows, gencost=tuple(cost_rows))
 
 
+def _check_limits(section: str, i: int, row: tuple[float, ...], lo: int,
+                  hi: int, low: str, high: str) -> None:
+    """MalformedRow when limit `low` (column lo, 0-based) exceeds `high`."""
+    if row[lo] > row[hi]:
+        raise MalformedRow(f"mpc.{section} row {i + 1}: column {lo + 1} "
+                           f"({low}) is {row[lo]}, above column {hi + 1} "
+                           f"({high}) {row[hi]}")
+
+
 def _gen_from_row(i: int, row: tuple[float, ...],
                   cost_row: tuple[float, ...]) -> Generator:
     tail = row[10:]
@@ -171,10 +180,14 @@ def _gen_from_row(i: int, row: tuple[float, ...],
     cost = GenCost(c2=padded[0], c1=padded[1], c0=padded[2],
                    startup=cost_row[1], shutdown=cost_row[2], ncost=ncost)
     pmin = row[9]
+    status = int_cell("gen", i, row, 7)
+    if status != 0:
+        _check_limits("gen", i, row, 9, 8, "Pmin", "Pmax")
+        _check_limits("gen", i, row, 4, 3, "Qmin", "Qmax")
     return Generator(
         bus=int_cell("gen", i, row, 0), pg=row[1], qg=row[2],
         qmax=row[3], qmin=row[4], vg=row[5], mbase=row[6],
-        status=int_cell("gen", i, row, 7), pmax=row[8], pmin=pmin,
+        status=status, pmax=row[8], pmin=pmin,
         ramp_30=ramp_30, cost=cost,
         is_wind=cost.is_zero() and pmin == 0.0, tail=tail)
 
@@ -182,8 +195,8 @@ def _gen_from_row(i: int, row: tuple[float, ...],
 def from_raw(raw: matpower.RawCase) -> NetworkCase:
     """Build the typed model; degree fields become radians.
 
-    Raises MalformedRow (an integer code that is not finite, or a
-    negative ramp limit),
+    Raises MalformedRow (an integer code that is not finite, a negative
+    ramp limit, or crossed P, Q or V limits on a live unit or bus),
     MissingSection (fewer gencost rows than generators),
     DanglingReference, NoReferenceBus or ZeroImpedance.
     """
@@ -197,6 +210,9 @@ def from_raw(raw: matpower.RawCase) -> NetworkCase:
             base_kv=r[9], zone=int_cell("bus", i, r, 10), vmax=r[11],
             vmin=r[12], extra=r[13:])
         for i, r in enumerate(raw.bus))
+    for i, (b, r) in enumerate(zip(buses, raw.bus)):
+        if b.btype != ISOLATED:
+            _check_limits("bus", i, r, 12, 11, "Vmin", "Vmax")
     ids = {b.id for b in buses}
     if not any(b.btype == REF for b in buses):
         raise NoReferenceBus(f"case {raw.name!r} has no type-3 bus")

@@ -344,8 +344,8 @@ def compare_empar_monolithic(empar: RunReport,
     gap = empar.total_objective - mono.total_objective
     if gap <= 1e-4 * max(1.0, abs(mono.total_objective)):
         return None
-    kkt_e = max(max(r.kkt) for r in empar.solves)
-    kkt_m = max(max(r.kkt) for r in mono.solves)
+    kkt_e, kkt_m = (np.max([r.kkt for r in rep.solves] or np.nan)
+                    for rep in (empar, mono))
     return (f"EMPAR total {empar.total_objective:.6f} exceeds monolithic "
             f"total {mono.total_objective:.6f} by {gap:.3e}; "
             f"worst KKT empar={kkt_e:.2e} monolithic={kkt_m:.2e} "
@@ -395,12 +395,14 @@ def write_output_tree(report: RunReport) -> str:
 
 
 def _write_summary(report: RunReport, plan: RunPlan, outdir: str) -> None:
+    def finite(v):      # JSON has no NaN or Inf: null stands for them
+        return v if math.isfinite(v) else None
     doc = {
         "application": plan.application,
         "structure": plan.structure,
         "mode": plan.mode.kind,
         "status": report.status,
-        "total_objective": report.total_objective,
+        "total_objective": finite(report.total_objective),
         "wall_time_sec": report.wall_time,
         "workers": report.workers,
         "warnings": list(report.warnings),
@@ -410,11 +412,10 @@ def _write_summary(report: RunReport, plan: RunPlan, outdir: str) -> None:
                 "contingency": st.contingency,
                 "period": st.period,
                 "status": st.status,
-                "objective": None if np.isnan(st.objective)
-                             else st.objective,
+                "objective": finite(st.objective),
                 "weight": st.weight,
                 "iterations": st.iterations,
-                "kkt": [None if not np.isfinite(v) else v for v in st.kkt],
+                "kkt": [finite(v) for v in st.kkt],
                 "message": st.message,
             }
             for st in report.stages
@@ -422,5 +423,5 @@ def _write_summary(report: RunReport, plan: RunPlan, outdir: str) -> None:
     }
     with open(os.path.join(outdir, "summary.json"), "w",
               encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
+        json.dump(doc, fh, indent=2, allow_nan=False)
         fh.write("\n")

@@ -349,6 +349,28 @@ class TestEntry:
         assert "mpc.gen row 1: column 18" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("section,row,col,value,message", [
+        ("gen", 1, 9, 310.0, "mpc.gen row 2: column 10 (Pmin) is 310.0, "
+                             "above column 9 (Pmax) 300.0"),
+        ("gen", 0, 4, 400.0, "mpc.gen row 1: column 5 (Qmin) is 400.0, "
+                             "above column 4 (Qmax) 300.0"),
+        ("bus", 4, 12, 1.2, "mpc.bus row 5: column 13 (Vmin) is 1.2, "
+                            "above column 12 (Vmax) 1.1")])
+    def test_crossed_limits_exit_2(self, tmp_path, capsys, section, row, col,
+                                   value, message):
+        """A lower limit above its upper one gave the NLP crossed bounds,
+        and the solve ended Infeasible at iteration 0 (exit 4)."""
+        raw = parse_case_file(NET)
+        rows = list(getattr(raw, section))
+        rows[row] = rows[row][:col] + (value,) + rows[row][col + 1:]
+        net = tmp_path / "case9.m"
+        net.write_text(format_case(replace(raw, **{section: tuple(rows)})))
+        code = cli.entry(["opflow", "--netfile", str(net),
+                          "--outdir", str(tmp_path / "out")])
+        assert code == cli.EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_flat_over_periods_exits_2(self, tmp_path, capsys):
         code = cli.entry(["sopflow", "--netfile", NET, "--ctgcfile", CTG,
                           "--scenfile", SCEN, "--structure", "flat",

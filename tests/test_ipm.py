@@ -1,6 +1,7 @@
 """Interior-point solver: analytic oracles, statuses, and invariants."""
 
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -137,6 +138,22 @@ class TestStatuses:
         assert r.status == "NumericFailure"
         assert r.iterations == 0
         assert r.message == "factorization failed after regularization retries"
+
+    def test_low_impedance_branch_solves(self, case9):
+        """Branch 1-4 at x = 0.001, r = 1e-4 gives six constraint rows
+        with start-point gradients near 1e5.  Scaling those rows down by
+        about 1e-3 ended the solve Infeasible at iteration 33 (line
+        search stalled with constraint violation 1.275); unscaled rows
+        reach case9's optimum."""
+        branches = list(case9.branches)
+        k = next(i for i, br in enumerate(branches)
+                 if (br.fbus, br.tbus) == (1, 4))
+        branches[k] = dataclasses.replace(branches[k], r=1e-4, x=0.001)
+        p, _ = build_acopf(dataclasses.replace(case9,
+                                               branches=tuple(branches)))
+        r = solve(p, SolverOptions())
+        assert r.status == "Optimal", r.message
+        assert r.objective == pytest.approx(3049.2462, rel=1e-6)
 
 
 def _one_variable_qp(x0, xu=np.inf):
@@ -441,14 +458,14 @@ def _view_problem(seed, n, me, mi, density, n_fixed):
         gu=np.full(mi, np.inf), x0=np.zeros(n), objective=lambda x: 0.0,
         gradient=lambda x: g0, constraints=lambda x: np.zeros(m),
         jacobian=jacobian, lagrangian_hessian=hessian, name="random")
-    # the Jacobian call that sets the scaling comes first
+    # the view calls the Jacobian first, at the start point
     return p, jacs, [h.tocsr() for h in hessians[:2]]
 
 
-def _old_kkt(jac, hess, free, s_c, dx, ds, me, reg, delta):
+def _old_kkt(jac, hess, free, dx, ds, me, reg, delta):
     """Dense K assembled the way the solver once did, from scipy
     products on the sliced callback matrices."""
-    jf = sp.diags(s_c) @ jac[:, free]
+    jf = jac[:, free]
     je, ji = jf[:me], jf[me:]
     hf = hess[free][:, free]
     jdj = ji.T @ ji.multiply(ds[:, None])
@@ -481,11 +498,6 @@ class TestFixedPatterns:
         p, jacs, hessians = _view_problem(seed, n, me, mi, density, n_fixed)
         view = _View(p)
         free = view.free
-        row_max = abs(jacs[0][:, free]).max(axis=1).toarray().ravel()
-        with np.errstate(divide="ignore"):
-            s_c = np.minimum(1.0, 100.0 / row_max)
-        s_c[~np.isfinite(s_c)] = 1.0
-        assert np.array_equal(view.s_c, s_c)
 
         rng = np.random.default_rng(seed)
         kkt = None
@@ -500,8 +512,7 @@ class TestFixedPatterns:
             kkt.fill(h, dx, ji.data, ds, je.data)
             got = kkt.matrix(reg, delta).toarray()
             want, je_old, ji_old = _old_kkt(jacs[call], hessians[call - 1],
-                                            free, s_c, dx, ds, me, reg,
-                                            delta)
+                                            free, dx, ds, me, reg, delta)
             if kkt.perm is not None:
                 at = kkt.perm[0]
                 want = want[at][:, at]

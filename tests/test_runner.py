@@ -19,6 +19,7 @@ from opfkit import (
     load_case,
     run,
     runner,
+    solve,
     write_output_tree,
 )
 
@@ -282,6 +283,23 @@ class TestEmpar:
                                   f"exceeds monolithic total {total:.6f}")
         assert "worst KKT empar=" in warning
 
+    def test_relaxation_excess_quotes_nan_kkt(self):
+        """Python's max skipped a NaN that was not first, so a KKT of
+        (1e-9, nan, 1e-9) was quoted as 1.00e-09."""
+        mono = run(RunPlan(application="Opf", netfile=NET))
+        bad = replace(mono.solves[0], kkt=(1e-9, np.nan, 1e-9))
+        above = replace(mono, total_objective=mono.total_objective + 1.0,
+                        solves=[bad])
+        assert "worst KKT empar=nan " in compare_empar_monolithic(above, mono)
+
+    def test_relaxation_excess_without_solves(self):
+        """An EMPAR report whose chains all failed has no solve; the
+        check raised ValueError (max of an empty sequence)."""
+        mono = run(RunPlan(application="Opf", netfile=NET))
+        empty = replace(mono, total_objective=mono.total_objective + 1.0,
+                        solves=[])
+        assert "worst KKT empar=nan " in compare_empar_monolithic(empty, mono)
+
     def test_anchor_restricts(self):
         """Anchoring boxes each chain around the pre-solved base
         dispatch, so chain objectives can only go up.  Generator
@@ -472,6 +490,27 @@ class TestOutputTree:
         for key in ("scenario", "contingency", "period", "status",
                     "objective", "weight", "iterations", "kkt"):
             assert key in stage
+
+    def test_summary_is_strict_json(self, monkeypatch, tmp_path):
+        """A solve that ends at iteration 0 (here crossed row bounds)
+        has a NaN objective; summary.json held it as NaN, which is not
+        JSON (RFC 8259).  Non-finite numbers are written as null."""
+        def crossed(problem, options):
+            problem = replace(problem, gl=problem.gu + 1.0)
+            return solve(problem, options)
+        monkeypatch.setattr(runner, "solve", crossed)
+        out = tmp_path / "opf"
+        report = run(RunPlan(application="Opf", netfile=NET,
+                             outdir=str(out)))
+        assert report.status == "Infeasible"
+        write_output_tree(report)
+
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+        summary = json.loads((out / "summary.json").read_text(),
+                             parse_constant=reject)
+        assert summary["total_objective"] is None
+        assert summary["stages"][0]["kkt"] == [None] * 3
 
     def test_written_stage_is_reparseable(self, tmp_path, case9):
         from opfkit import load_case, residuals_at, solution_from_case
